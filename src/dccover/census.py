@@ -80,7 +80,8 @@ def _census_row(task) -> CensusRow:
         row["skipped"] = f"order {row['order']} above the size budget {max_order}"
         return CensusRow(**row)
     cover = build_cover(g, n, eps)
-    group = PermGroup(lifted_generators(rep, cover))
+    gens = lifted_generators(rep, cover)
+    group = PermGroup(gens, upper_bound=cover.group_order_bound(gens))
     row["verified_order"] = group.order()
     mismatches = []
     if row["verified_order"] != rep.lifted_order:
@@ -111,6 +112,16 @@ def _census_row(task) -> CensusRow:
     return CensusRow(**row)
 
 
+def _check_sweep(ps, ns) -> None:
+    """Raise ValueError unless every p is an odd prime and every n is at least 3."""
+    for p in ps:
+        if not is_odd_prime(p):
+            raise ValueError(f"p={p} is not an odd prime")
+    for n in ns:
+        if n < 3:
+            raise ValueError(f"n={n} is below 3, the shortest base cycle")
+
+
 def census_rows(
     ps,
     ns,
@@ -129,8 +140,7 @@ def census_rows(
     """
     if verify not in VERIFY_TIERS:
         raise ValueError(f"verify must be one of {VERIFY_TIERS}")
-    for p in ps:
-        is_odd_prime(p)
+    _check_sweep(ps, ns)
     tasks = []
     for n in sorted(ns):
         for p in sorted(ps):
@@ -269,8 +279,13 @@ def _open_out(path):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "census":
+        try:
+            _check_sweep(args.p, args.n)
+        except ValueError as err:
+            parser.error(str(err))
         rows = census_rows(
             args.p,
             args.n,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fpoly import FpPoly, code_modulus, is_odd_prime, poly_x
+from .permgrp import PermGroup, as_perm
 
 
 class NonSimpleCover(ValueError):
@@ -108,10 +109,11 @@ class CoverGraph:
         self.g = g
         self.fiber_size = self.p**self.r
         self.order = self.n * self.fiber_size
-        self._add_tables = self._build_add_tables()
-        self._sub_tables = np.empty_like(self._add_tables)
+        add = self._build_add_tables()
+        sub = np.empty_like(add)
         for j in range(self.n):
-            self._sub_tables[j, self._add_tables[j]] = np.arange(self.fiber_size)
+            sub[j, add[j]] = np.arange(self.fiber_size)
+        self.dart_ends = self._build_dart_ends(add, sub)
         self._adjacency: list[list[int]] | None = None
 
     def _build_add_tables(self) -> np.ndarray:
@@ -133,6 +135,19 @@ class CoverGraph:
                 weight *= p
             tables[j] = acc
         return tables
+
+    def _build_dart_ends(self, add: np.ndarray, sub: np.ndarray) -> np.ndarray:
+        """Read-only table [v, t] of the end vertex of the dart of track t at v."""
+        size = self.fiber_size
+        layers = np.arange(self.n)
+        ahead = ((layers + 1) % self.n * size)[:, None]
+        back = (layers - 1) % self.n
+        behind = (back * size)[:, None]
+        ends = np.stack(
+            [ahead + add, ahead + sub, behind + sub[back], behind + add[back]], axis=-1
+        ).reshape(self.order, 4).astype(np.int32)
+        ends.flags.writeable = False
+        return ends
 
     # -- vertex encoding ------------------------------------------------------
 
@@ -162,21 +177,9 @@ class CoverGraph:
 
     def dart_end(self, vid: int, t: int) -> int:
         """End vertex of the dart of track t at vid."""
-        size = self.fiber_size
-        layer, value = divmod(vid, size)
-        if t == 0:
-            return (layer + 1) % self.n * size + self._add_tables[layer, value]
-        if t == 1:
-            return (layer + 1) % self.n * size + self._sub(layer, value)
-        back = (layer - 1) % self.n
-        if t == 2:
-            return back * size + self._sub(back, value)
-        if t == 3:
-            return back * size + self._add_tables[back, value]
-        raise ValueError(f"track {t} out of range")
-
-    def _sub(self, j: int, value: int) -> int:
-        return self._sub_tables[j, value]
+        if not 0 <= t < 4:
+            raise ValueError(f"track {t} out of range")
+        return int(self.dart_ends[vid, t])
 
     def base_dart(self, vid: int, t: int) -> int:
         """Dart of the doubled cycle under the covering projection."""
@@ -190,11 +193,11 @@ class CoverGraph:
     # -- graph views -----------------------------------------------------------
 
     def neighbors(self, vid: int) -> list[int]:
-        return [self.dart_end(vid, t) for t in range(4)]
+        return self.dart_ends[vid].tolist()
 
     def adjacency(self) -> list[list[int]]:
         if self._adjacency is None:
-            self._adjacency = [self.neighbors(v) for v in range(self.order)]
+            self._adjacency = self.dart_ends.tolist()
         return self._adjacency
 
     def edges(self) -> list[tuple[int, int]]:
@@ -228,16 +231,46 @@ class CoverGraph:
     def is_connected(self) -> bool:
         seen = np.zeros(self.order, dtype=bool)
         seen[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in self.neighbors(u):
-                    if not seen[w]:
-                        seen[w] = True
-                        nxt.append(w)
-            frontier = nxt
+        frontier = np.zeros(1, dtype=np.int32)
+        while len(frontier):
+            reached = np.zeros(self.order, dtype=bool)
+            reached[self.dart_ends[frontier]] = True
+            reached &= ~seen
+            seen |= reached
+            frontier = np.flatnonzero(reached)
         return bool(seen.all())
+
+    def group_order_bound(self, perms) -> int | None:
+        """Upper bound on the order of the group the vertex permutations generate.
+
+        None unless the cover is connected and every permutation maps darts
+        to darts, sending all darts over one base dart to darts over one base
+        dart.  The group then acts on the 4n base darts.  A kernel element
+        that fixes a vertex fixes its four darts, which lie over four
+        distinct base darts, so it fixes the four neighbours and, by
+        connectivity, every vertex.  The kernel is therefore semiregular on
+        a fiber, and the order is at most the order of the induced group on
+        base darts times the fiber size.
+        """
+        if not self.is_connected():
+            return None
+        ends = self.dart_ends
+        vids = np.arange(self.order)
+        base = np.stack([self.base_dart(vids, t) for t in range(4)], axis=1)
+        induced = []
+        for perm in perms:
+            g = as_perm(perm, self.order)
+            # hits[v, t, t2]: dart (v, t) goes to dart (g(v), t2).
+            hits = g[ends][:, :, None] == ends[g][:, None, :]
+            if not (hits.sum(axis=2) == 1).all():
+                return None
+            image = base[g[:, None], hits.argmax(axis=2)]
+            on_base = np.full(4 * self.n, -1, dtype=np.int32)
+            on_base[base] = image
+            if not np.array_equal(on_base[base], image):
+                return None
+            induced.append(on_base)
+        return PermGroup(induced, 4 * self.n).order() * self.fiber_size
 
 
 def build_cover(g: FpPoly, n: int, eps: int) -> CoverGraph:
@@ -252,7 +285,8 @@ def build_cover(g: FpPoly, n: int, eps: int) -> CoverGraph:
     if g.degree >= n or not g.divides(modulus):
         raise ValueError(f"{g.to_text()!r} is not a proper divisor of {modulus.to_text()!r}")
     cover = CoverGraph(GeneratorMatrix.from_poly(g, n), eps=eps, g=g)
-    assert cover.is_connected(), "covers of proper divisors are connected"
+    if not cover.is_connected():
+        raise AssertionError("the cover of a proper divisor is disconnected")
     return cover
 
 
@@ -295,7 +329,9 @@ def extremal_cover(kind: str, p: int, r: int, blocks: int) -> CoverGraph:
     poly = FpPoly(p, tuple(
         core[k // r] if k % r == 0 else 0 for k in range((blocks - 1) * r + 1)
     ))
-    assert poly.divides(code_modulus(n, eps, p))
+    if not poly.divides(code_modulus(n, eps, p)):
+        raise AssertionError("the block divisor does not divide the modulus")
     cover = CoverGraph(matrix, eps=eps, g=poly)
-    assert cover.is_connected()
+    if not cover.is_connected():
+        raise AssertionError("the extremal cover is disconnected")
     return cover

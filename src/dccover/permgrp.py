@@ -8,6 +8,7 @@ plain lists are accepted everywhere.
 
 from __future__ import annotations
 
+import random
 import time
 from math import lcm
 
@@ -64,48 +65,109 @@ def perm_order(p: np.ndarray) -> int:
     return out
 
 
-class _Level:
-    """One stabilizer-chain level: base point, generators, transversal.
+_UNSEEN = -1
+_ROOT = -2
 
-    The transversal maps each orbit point x to a group element carrying the
-    base point to x.  Orbit and transversal only ever grow, so Schreier
-    products computed earlier stay valid.
+# The bounded chain sifts product-replacement random elements (Celler et al.,
+# 1995).  The fixed seed keeps chains reproducible.  Against an incomplete
+# chain a uniformly random element fails to sift through with probability at
+# least 1/2, so a run of _PATIENCE elements that all sift through almost surely
+# means the group does not reach the bound, and the deterministic closure
+# takes over.
+_RANDOM_SEED = 1
+_SLOTS = 10
+_WARMUP = 40
+_PATIENCE = 24
+
+
+class _Level:
+    """One stabilizer-chain level: base point, generators, Schreier vector.
+
+    label[x] is the index of the generator that first carried an orbit point
+    to x (_UNSEEN off the orbit, _ROOT at the base), so the labels walked
+    back from x spell the transversal element carrying the base point to x.
+    A level thus stores one int32 array, not a permutation per orbit point.
     """
 
     def __init__(self, base: int, degree: int):
         self.base = base
-        self.degree = degree
         self.gens: list[np.ndarray] = []
+        self.inv: list[np.ndarray] = []
         self.orbit: list[int] = [base]
-        self.trans: dict[int, np.ndarray] = {base: perm_identity(degree)}
-        self._expand_done: list[int] = []
+        self.label = np.full(degree, _UNSEEN, dtype=np.int32)
+        self.label[base] = _ROOT
         self.schreier_done: list[int] = []
 
-    def add_gen(self, g: np.ndarray) -> None:
-        self.gens.append(g)
-        self._expand_done.append(0)
-        self.schreier_done.append(0)
-        self._expand()
+    def add_gen(self, g: np.ndarray, g_inv: np.ndarray) -> None:
+        """Add a generator and grow the orbit breadth-first.
 
-    def _expand(self) -> None:
-        moved = True
-        while moved:
-            moved = False
-            for gi, g in enumerate(self.gens):
-                while self._expand_done[gi] < len(self.orbit):
-                    x = self.orbit[self._expand_done[gi]]
-                    self._expand_done[gi] += 1
-                    y = int(g[x])
-                    if y not in self.trans:
-                        self.trans[y] = perm_mult(self.trans[x], g)
-                        self.orbit.append(y)
-                        moved = True
+        Until a Schreier generator of this level has been sifted, the tree
+        is rebuilt from the base point, which keeps it shallow; after that
+        it only grows, so that sifted Schreier products stay valid.
+        """
+        self.gens.append(g)
+        self.inv.append(g_inv)
+        if any(self.schreier_done):
+            frontier = self._visit(len(self.gens) - 1, np.array(self.orbit))
+        else:
+            self.label[self.orbit] = _UNSEEN
+            self.label[self.base] = _ROOT
+            self.orbit = [self.base]
+            frontier = np.array(self.orbit)
+        self.schreier_done.append(0)
+        while len(frontier):
+            frontier = np.concatenate(
+                [self._visit(k, frontier) for k in range(len(self.gens))]
+            )
+
+    def _visit(self, k: int, points: np.ndarray) -> np.ndarray:
+        """Label the points new to the orbit that generator k sends points to."""
+        img = self.gens[k][points]
+        new = img[self.label[img] == _UNSEEN]
+        self.label[new] = k
+        self.orbit.extend(new.tolist())
+        return new
+
+    def transversal(self, x: int) -> np.ndarray:
+        """Element carrying the base point to the orbit point x."""
+        u = perm_identity(len(self.label))
+        k = int(self.label[x])
+        while k != _ROOT:
+            u = u[self.gens[k]]
+            x = int(self.inv[k][x])
+            k = int(self.label[x])
+        return u
+
+    def strip(self, p: np.ndarray) -> np.ndarray | None:
+        """p times the inverse transversal element of p(base), None off the orbit."""
+        x = int(p[self.base])
+        k = int(self.label[x])
+        if k == _UNSEEN:
+            return None
+        while k != _ROOT:
+            g_inv = self.inv[k]
+            p = g_inv[p]
+            x = int(g_inv[x])
+            k = int(self.label[x])
+        return p
 
 
 class PermGroup:
-    """Group generated by permutations, with a lazy stabilizer chain."""
+    """Group generated by permutations, with a lazy stabilizer chain.
 
-    def __init__(self, generators, degree: int | None = None):
+    Without upper_bound the chain is closed deterministically by sifting
+    every Schreier generator; this is the reference path.  upper_bound must
+    be a proven upper bound on the group order.  With it the chain grows by
+    sifting random elements until the product of its basic orbit lengths,
+    a lower bound on the order, equals upper_bound.  Equality forces a
+    complete chain, so order() and contains() stay exact.  A stall below
+    the bound falls back to the deterministic closure, and a chain above the
+    bound raises ValueError, since the bound was false.
+    """
+
+    def __init__(
+        self, generators, degree: int | None = None, upper_bound: int | None = None
+    ):
         gens = [np.asarray(g, dtype=np.int32) for g in generators]
         if degree is None:
             if not gens:
@@ -113,6 +175,7 @@ class PermGroup:
             degree = len(gens[0])
         self.degree = degree
         self.gens = [as_perm(g, degree) for g in gens]
+        self.upper_bound = upper_bound
         self._levels: list[_Level] | None = None
 
     def orbit(self, point: int) -> list[int]:
@@ -145,10 +208,7 @@ class PermGroup:
 
     def order(self) -> int:
         self._build()
-        total = 1
-        for lvl in self._levels:
-            total *= len(lvl.orbit)
-        return total
+        return self._chain_order()
 
     def contains(self, perm) -> bool:
         p = as_perm(perm, self.degree)
@@ -165,16 +225,68 @@ class PermGroup:
         self._id = perm_identity(self.degree)
         for g in self.gens:
             self._add(g)
+        if self.upper_bound is not None and self._random_fill():
+            return
         self._complete()
+        if self.upper_bound is not None:
+            self._meets_bound()
+
+    def _chain_order(self) -> int:
+        total = 1
+        for lvl in self._levels:
+            total *= len(lvl.orbit)
+        return total
+
+    def _meets_bound(self) -> bool:
+        """Whether the chain order equals upper_bound; raises when above it."""
+        total = self._chain_order()
+        if total > self.upper_bound:
+            self._levels = None
+            raise ValueError(
+                f"the chain reaches order {total}, above the bound {self.upper_bound}"
+            )
+        return total == self.upper_bound
+
+    def _random_fill(self) -> bool:
+        """Sift random elements until the chain order meets upper_bound.
+
+        Returns False once _PATIENCE elements in a row leave the chain as it
+        was.  Product replacement keeps _SLOTS elements, replaces one by its
+        product with another, and folds each new slot into a running product.
+        """
+        if self._meets_bound():
+            return True
+        if not self.gens:
+            return False
+        rng = random.Random(_RANDOM_SEED)
+        slots = [self.gens[i % len(self.gens)] for i in range(max(_SLOTS, len(self.gens)))]
+        acc = self._id
+        steps = misses = 0
+        while misses < _PATIENCE:
+            i, j = rng.sample(range(len(slots)), 2)
+            if rng.random() < 0.5:
+                slots[i] = perm_mult(slots[i], slots[j])
+            else:
+                slots[i] = perm_mult(slots[j], slots[i])
+            acc = perm_mult(acc, slots[i])
+            steps += 1
+            if steps <= _WARMUP:
+                continue
+            if not self._add(acc):
+                misses += 1
+            elif self._meets_bound():
+                return True
+            else:
+                misses = 0
+        return False
 
     def _sift(self, p: np.ndarray, start: int):
         """Reduce p through the chain; (None, _) when it reaches identity."""
         for li in range(start, len(self._levels)):
-            lvl = self._levels[li]
-            x = int(p[lvl.base])
-            if x not in lvl.trans:
+            stripped = self._levels[li].strip(p)
+            if stripped is None:
                 return p, li
-            p = perm_mult(p, perm_inverse(lvl.trans[x]))
+            p = stripped
         if np.array_equal(p, self._id):
             return None, len(self._levels)
         return p, len(self._levels)
@@ -183,14 +295,19 @@ class PermGroup:
         residue, li = self._sift(g, 0)
         if residue is None:
             return False
+        self._extend(residue, li)
+        return True
+
+    def _extend(self, residue: np.ndarray, li: int) -> None:
+        """Make a residue that sifted down to level li a strong generator."""
         if li == len(self._levels):
             moved = int(np.nonzero(residue != self._id)[0][0])
             self._levels.append(_Level(moved, self.degree))
         # A strong generator fixing the first li base points belongs to every
         # stabilizer level up to li: it can still move non-base orbit points.
+        inv = perm_inverse(residue)
         for j in range(li + 1):
-            self._levels[j].add_gen(residue)
-        return True
+            self._levels[j].add_gen(residue, inv)
 
     def _complete(self) -> None:
         """Process every Schreier generator until the chain is closed."""
@@ -198,34 +315,40 @@ class PermGroup:
             progressed = False
             li = 0
             while li < len(self._levels):
-                lvl = self._levels[li]
-                for gi in range(len(lvl.gens)):
-                    while lvl.schreier_done[gi] < len(lvl.orbit):
-                        idx = lvl.schreier_done[gi]
-                        lvl.schreier_done[gi] += 1
-                        x = lvl.orbit[idx]
-                        s = lvl.gens[gi]
-                        u = lvl.trans[x]
-                        carried = perm_mult(u, s)
-                        y = int(s[x])
-                        sch = perm_mult(carried, perm_inverse(lvl.trans[y]))
-                        if np.array_equal(sch, self._id):
-                            continue
-                        residue, drop = self._sift(sch, li + 1)
-                        if residue is not None:
-                            if drop == len(self._levels):
-                                moved = int(np.nonzero(residue != self._id)[0][0])
-                                self._levels.append(_Level(moved, self.degree))
-                            for j in range(drop + 1):
-                                self._levels[j].add_gen(residue)
-                            progressed = True
+                progressed |= self._close_level(li)
                 li += 1
             if not progressed:
                 break
 
+    def _close_level(self, li: int) -> bool:
+        """Sift the Schreier generators of level li not yet sifted.
 
-def orbit_count(gens, degree: int) -> int:
-    return len(PermGroup(gens, degree).orbits())
+        Points are taken in orbit order and each generator keeps a count of
+        the points done, so one transversal element serves every generator
+        pending at a point.  Returns whether the chain grew.
+        """
+        lvl = self._levels[li]
+        grew = False
+        while True:
+            todo = min(lvl.schreier_done)
+            if todo >= len(lvl.orbit):
+                return grew
+            x = lvl.orbit[todo]
+            u = None
+            for gi in range(len(lvl.gens)):
+                if lvl.schreier_done[gi] != todo:
+                    continue
+                lvl.schreier_done[gi] += 1
+                s = lvl.gens[gi]
+                # An edge of the Schreier tree gives the identity.
+                if lvl.label[s[x]] == gi:
+                    continue
+                if u is None:
+                    u = lvl.transversal(x)
+                residue, drop = self._sift(lvl.strip(s[u]), li + 1)
+                if residue is not None:
+                    self._extend(residue, drop)
+                    grew = True
 
 
 class NotAnAutomorphism(ValueError):

@@ -116,6 +116,26 @@ def test_census_rejects_bad_arguments():
         census_rows([7], [3], (0,), verify="everything")
     with pytest.raises(ValueError):
         census_rows([9], [3], (0,), verify="none")
+    with pytest.raises(ValueError):
+        census_rows([4], [3], (0,), verify="none")
+    with pytest.raises(ValueError):
+        census_rows([3], [2, 3], (0,), verify="lifts")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--p", "4", "--n", "3"], "p=4 is not an odd prime"),
+        (["--p", "3", "--n", "2", "--verify", "lifts"], "n=2 is below 3"),
+    ],
+)
+def test_cli_reports_bad_sweeps_without_traceback(capsys, argv, message):
+    with pytest.raises(SystemExit) as stop:
+        main(["census", *argv])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 # -- export ---------------------------------------------------------------------

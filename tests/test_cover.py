@@ -1,9 +1,15 @@
 """Tests for cover graphs built from banded generator matrices."""
 
+import os
+import random
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dccover
 from dccover.cover import (
     CoverGraph,
     GeneratorMatrix,
@@ -13,7 +19,9 @@ from dccover.cover import (
     extremal_cover,
 )
 from dccover.fpoly import FpPoly, modulus_divisors, poly_one
-from dccover.permgrp import PermGroup, transitivity_profile
+from dccover.lift import lifted_generators, lifting_report
+from dccover.permgrp import PermGroup, automorphism_group, transitivity_profile
+from dccover.reflex import divisor_info
 
 SEXTIC5 = FpPoly(5, (3, 0, 4, 0, 2, 0, 1))
 QUINTIC3 = FpPoly(3, (1, 1, 1, 2, 0, 1))
@@ -159,6 +167,79 @@ def test_translations_are_regular_deck_transformations():
     # Commuting generators.
     a, b = (np.asarray(t) for t in trans)
     assert np.array_equal(a[b], b[a])
+
+
+def test_connectivity_checks_survive_optimized_mode():
+    # python -O strips assert statements; the connectivity checks must still raise.
+    script = "\n".join([
+        "from dccover.cover import CoverGraph, build_cover, extremal_cover",
+        "from dccover.fpoly import FpPoly",
+        "CoverGraph.is_connected = lambda self: False",
+        "for make in (lambda: build_cover(FpPoly(7, (1, 1, 1)), 3, 0),",
+        "             lambda: extremal_cover('pm1', 5, 2, 3)):",
+        "    try:",
+        "        make()",
+        "    except AssertionError:",
+        "        continue",
+        "    raise SystemExit(1)",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dccover.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=120)
+    assert done.returncode == 0
+
+
+# -- certified lifted-group orders ----------------------------------------------
+
+
+def test_order_bound_rejects_maps_off_the_fibers():
+    cov = build_cover(FpPoly(7, (2, 4, 1)), 3, 0)
+    lifted = lifted_generators(lifting_report(divisor_info(cov.g, 3, 0)), cov)
+    assert cov.group_order_bound(lifted) == 42
+    # |Aut| = 336 is 8 times the lifted order: some automorphisms mix fibers.
+    aut = automorphism_group(cov)
+    assert aut.order() == 336
+    assert cov.group_order_bound(aut.gens) is None
+    swap = list(range(cov.order))
+    swap[0], swap[1] = 1, 0
+    assert cov.group_order_bound([swap]) is None  # not an automorphism
+    assert cov.group_order_bound([]) == cov.fiber_size
+
+
+def test_order_bound_needs_a_connected_cover():
+    # The second matrix row is zero, so the second fiber digit never moves.
+    split = CoverGraph(GeneratorMatrix(5, ((1, 1, 1), (0, 0, 0))))
+    assert not split.is_connected()
+    assert split.group_order_bound(split.translations()[:1]) is None
+
+
+def test_certified_order_matches_the_reference_chain():
+    rng = random.Random(7)
+    checked = 0
+    for p in (3, 5, 7):
+        for n in range(3, 6):
+            for eps in (0, 1):
+                for g in modulus_divisors(n, eps, p):
+                    info = divisor_info(g, n, eps)
+                    if n * p**info.fiber_dim > 1000:
+                        continue
+                    cov = build_cover(g, n, eps)
+                    gens = lifted_generators(lifting_report(info), cov)
+                    bound = cov.group_order_bound(gens)
+                    certified = PermGroup(gens, upper_bound=bound)
+                    reference = PermGroup(gens)
+                    assert certified.order() == reference.order() == bound
+                    for _ in range(4):
+                        member = np.arange(cov.order)
+                        for _ in range(6):
+                            member = np.asarray(rng.choice(gens))[member]
+                        moved = member.copy()
+                        i, j = rng.sample(range(cov.order), 2)
+                        moved[[i, j]] = moved[[j, i]]
+                        assert certified.contains(member) and reference.contains(member)
+                        assert certified.contains(moved) == reference.contains(moved)
+                    checked += 1
+    assert checked == 68
 
 
 # -- extremal families ----------------------------------------------------------

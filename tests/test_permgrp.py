@@ -14,7 +14,6 @@ from dccover.permgrp import (
     as_perm,
     automorphism_group,
     canonical_form,
-    orbit_count,
     perm_identity,
     perm_inverse,
     perm_mult,
@@ -134,7 +133,29 @@ def test_trivial_group():
     assert G.order() == 1
     assert G.contains([0, 1, 2, 3])
     assert not G.contains([1, 0, 2, 3])
-    assert orbit_count([], 4) == 4
+    assert len(PermGroup([], 4).orbits()) == 4
+
+
+def test_bound_above_the_order_falls_back_to_the_exact_order():
+    gens = [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]
+    for bound in (120, 121, 240, 10**6):
+        G = PermGroup(gens, upper_bound=bound)
+        assert G.order() == 120
+        assert G.contains([4, 3, 2, 1, 0])
+    A4 = PermGroup([[1, 0, 3, 2], [1, 2, 0, 3]], upper_bound=24)
+    assert A4.order() == 12
+    assert not A4.contains([1, 0, 2, 3])
+    assert PermGroup([], 4, upper_bound=5).order() == 1
+
+
+def test_bound_below_the_chain_order_raises():
+    with pytest.raises(ValueError):
+        PermGroup([[1, 2, 0]], upper_bound=2).order()
+    G = PermGroup([[1, 2, 3, 4, 5, 6, 0]], upper_bound=1)
+    with pytest.raises(ValueError):
+        G.contains([0, 1, 2, 3, 4, 5, 6])
+    with pytest.raises(ValueError):
+        G.order()  # a failed build is not kept
 
 
 def test_orbits_partition():
@@ -154,14 +175,15 @@ def test_orbits_partition():
 def test_order_and_membership_match_brute_closure(gens):
     degree = len(gens[0])
     elements = brute_closure(gens, degree)
-    G = PermGroup(gens)
-    assert G.order() == len(elements)
-    for p in itertools.islice(elements, 12):
-        assert G.contains(list(p))
-    for p in itertools.permutations(range(degree)):
-        if p not in elements:
-            assert not G.contains(list(p))
-            break
+    for bound in (None, len(elements)):
+        G = PermGroup(gens, upper_bound=bound)
+        assert G.order() == len(elements)
+        for p in itertools.islice(elements, 12):
+            assert G.contains(list(p))
+        for p in itertools.permutations(range(degree)):
+            if p not in elements:
+                assert not G.contains(list(p))
+                break
 
 
 # -- transitivity profiles ----------------------------------------------------
