@@ -32,7 +32,6 @@ from .reflex import (
 )
 from .dcycle import (
     DCAut,
-    DoubledCycle,
     homology_matrix,
     subgroup_from_case,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "CoverGraph",
     "DCAut",
     "DivisorInfo",
-    "DoubledCycle",
     "FpPoly",
     "GeneratorMatrix",
     "Inconsistent",

@@ -306,8 +306,11 @@ def main(argv=None) -> int:
             if stream is not sys.stdout:
                 stream.close()
         return 2 if any(row.mismatch for row in rows) else 0
-    coeffs = tuple(int(c) for c in args.g.split(","))
-    cover = build_cover(FpPoly(args.p, coeffs), args.n, args.eps)
+    try:
+        coeffs = tuple(int(c) for c in args.g.split(","))
+        cover = build_cover(FpPoly(args.p, coeffs), args.n, args.eps)
+    except ValueError as err:
+        parser.error(str(err))
     stream = _open_out(args.out)
     try:
         export_graph(cover, stream, voltages=args.voltages)

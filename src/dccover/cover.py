@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dcycle import dart_at
 from .fpoly import FpPoly, code_modulus, is_odd_prime, poly_x
-from .permgrp import PermGroup, as_perm
+from .permgrp import NotAnAutomorphism, PermGroup, arc_action, reach
 
 
 class NonSimpleCover(ValueError):
@@ -69,12 +70,6 @@ class GeneratorMatrix:
         j %= self.n
         return tuple(row[j] for row in self.rows)
 
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.column(j) for j in range(self.n))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.int64)
-
 
 def check_simple(matrix: GeneratorMatrix) -> int | None:
     """Index of the first zero column, or None when the cover is simple."""
@@ -109,35 +104,19 @@ class CoverGraph:
         self.g = g
         self.fiber_size = self.p**self.r
         self.order = self.n * self.fiber_size
-        add = self._build_add_tables()
-        sub = np.empty_like(add)
-        for j in range(self.n):
-            sub[j, add[j]] = np.arange(self.fiber_size)
-        self.dart_ends = self._build_dart_ends(add, sub)
-        self._adjacency: list[list[int]] | None = None
+        self.dart_ends = self._build_dart_ends(np.array(matrix.rows, dtype=np.int64).T)
 
-    def _build_add_tables(self) -> np.ndarray:
-        """Table [j, v] of the fiber value v plus column j, digitwise mod p."""
-        p, r, size = self.p, self.r, self.fiber_size
-        values = np.arange(size, dtype=np.int64)
-        digits = np.empty((r, size), dtype=np.int64)
-        rest = values
-        for i in range(r):
-            digits[i] = rest % p
-            rest = rest // p
-        tables = np.empty((self.n, size), dtype=np.int64)
-        for j in range(self.n):
-            col = self.matrix.column(j)
-            acc = np.zeros(size, dtype=np.int64)
-            weight = 1
-            for i in range(r):
-                acc += ((digits[i] + col[i]) % p) * weight
-                weight *= p
-            tables[j] = acc
-        return tables
+    def _fiber_add(self, vecs: np.ndarray) -> np.ndarray:
+        """Table [k, v] of the fiber value v plus row k of vecs, digitwise mod p."""
+        values = np.arange(self.fiber_size)
+        out = np.zeros((len(vecs), self.fiber_size), dtype=np.int64)
+        for i in range(self.r):
+            out += (values // self.p**i + vecs[:, i, None]) % self.p * self.p**i
+        return out
 
-    def _build_dart_ends(self, add: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    def _build_dart_ends(self, cols: np.ndarray) -> np.ndarray:
         """Read-only table [v, t] of the end vertex of the dart of track t at v."""
+        add, sub = self._fiber_add(cols), self._fiber_add(-cols)
         size = self.fiber_size
         layers = np.arange(self.n)
         ahead = ((layers + 1) % self.n * size)[:, None]
@@ -155,20 +134,12 @@ class CoverGraph:
         fiber = tuple(fiber)
         if len(fiber) != self.r:
             raise ValueError(f"expected {self.r} fiber digits, got {len(fiber)}")
-        value = 0
-        weight = 1
-        for x in fiber:
-            value += (int(x) % self.p) * weight
-            weight *= self.p
+        value = sum(int(x) % self.p * self.p**i for i, x in enumerate(fiber))
         return (layer % self.n) * self.fiber_size + value
 
     def vertex_of(self, vid: int) -> tuple[tuple[int, ...], int]:
         layer, value = divmod(vid, self.fiber_size)
-        fiber = []
-        for _ in range(self.r):
-            value, digit = divmod(value, self.p)
-            fiber.append(digit)
-        return tuple(fiber), layer
+        return tuple(value // self.p**i % self.p for i in range(self.r)), layer
 
     def layer(self, vid: int) -> int:
         return vid // self.fiber_size
@@ -183,9 +154,7 @@ class CoverGraph:
 
     def base_dart(self, vid: int, t: int) -> int:
         """Dart of the doubled cycle under the covering projection."""
-        layer = vid // self.fiber_size
-        j = layer if t < 2 else (layer - 1) % self.n
-        return t * self.n + j
+        return dart_at(self.n, vid // self.fiber_size, t)
 
     def dart_inverse_track(self, t: int) -> int:
         return t ^ 2
@@ -196,49 +165,22 @@ class CoverGraph:
         return self.dart_ends[vid].tolist()
 
     def adjacency(self) -> list[list[int]]:
-        if self._adjacency is None:
-            self._adjacency = self.dart_ends.tolist()
-        return self._adjacency
+        return self.dart_ends.tolist()
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u, nbrs in enumerate(self.adjacency()):
-            for v in nbrs:
-                if u < v:
-                    out.append((u, v))
-        out.sort()
-        return out
+        tails = np.repeat(np.arange(self.order), 4)
+        heads = self.dart_ends.ravel()
+        keep = tails < heads
+        return sorted(zip(tails[keep].tolist(), heads[keep].tolist()))
 
     def translations(self) -> list[list[int]]:
         """Vertex permutations adding each standard basis vector to fibers."""
-        out = []
-        size = self.fiber_size
-        values = np.arange(size, dtype=np.int64)
-        digits = []
-        rest = values
-        for _ in range(self.r):
-            digits.append(rest % self.p)
-            rest = rest // self.p
-        for i in range(self.r):
-            weight = self.p**i
-            shifted = values + weight - (digits[i] == self.p - 1) * self.p * weight
-            perm = []
-            for layer in range(self.n):
-                perm.extend((layer * size + shifted).tolist())
-            out.append(perm)
-        return out
+        layers = (np.arange(self.n) * self.fiber_size)[:, None]
+        shifts = self._fiber_add(np.eye(self.r, dtype=np.int64))
+        return [(layers + shift).ravel().tolist() for shift in shifts]
 
     def is_connected(self) -> bool:
-        seen = np.zeros(self.order, dtype=bool)
-        seen[0] = True
-        frontier = np.zeros(1, dtype=np.int32)
-        while len(frontier):
-            reached = np.zeros(self.order, dtype=bool)
-            reached[self.dart_ends[frontier]] = True
-            reached &= ~seen
-            seen |= reached
-            frontier = np.flatnonzero(reached)
-        return bool(seen.all())
+        return bool(reach(self.dart_ends, 0).all())
 
     def group_order_bound(self, perms) -> int | None:
         """Upper bound on the order of the group the vertex permutations generate.
@@ -254,20 +196,17 @@ class CoverGraph:
         """
         if not self.is_connected():
             return None
-        ends = self.dart_ends
-        vids = np.arange(self.order)
-        base = np.stack([self.base_dart(vids, t) for t in range(4)], axis=1)
+        arc_perm, _ = arc_action(self.dart_ends)
+        base = self.base_dart(np.arange(self.order)[:, None], np.arange(4)).ravel()
         induced = []
         for perm in perms:
-            g = as_perm(perm, self.order)
-            # hits[v, t, t2]: dart (v, t) goes to dart (g(v), t2).
-            hits = g[ends][:, :, None] == ends[g][:, None, :]
-            if not (hits.sum(axis=2) == 1).all():
+            try:
+                arcs = arc_perm(perm)
+            except NotAnAutomorphism:
                 return None
-            image = base[g[:, None], hits.argmax(axis=2)]
             on_base = np.full(4 * self.n, -1, dtype=np.int32)
-            on_base[base] = image
-            if not np.array_equal(on_base[base], image):
+            on_base[base] = base[arcs]
+            if not np.array_equal(on_base[base], base[arcs]):
                 return None
             induced.append(on_base)
         return PermGroup(induced, 4 * self.n).order() * self.fiber_size

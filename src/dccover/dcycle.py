@@ -3,7 +3,8 @@
 The doubled cycle on n vertices has two parallel arcs a_j, b_j from vertex j
 to vertex j+1.  Darts are encoded as t*n + j with track t in {0: a_j, 1: b_j,
 2: inverse of a_j, 3: inverse of b_j}; flipping bit 0 of t exchanges the two
-parallel arcs, flipping bit 1 reverses direction.
+parallel arcs, flipping bit 1 reverses direction.  Only this module knows
+the encoding; the others go through dart_at and dart_track.
 
 Every automorphism factors uniquely as tau_J sigma^s rho^k where tau_J swaps
 the parallel arc pairs indexed by J, sigma is the reflection fixing the arcs
@@ -63,6 +64,23 @@ def in_span(basis, mask: int) -> bool:
     for b in basis:
         mask = min(mask, mask ^ b)
     return mask == 0
+
+
+# -- darts ------------------------------------------------------------------
+
+
+def dart_at(n: int, vertex, t):
+    """Code of the dart of track t leaving a vertex; elementwise on arrays.
+
+    Tracks 0 and 1 leave vertex j along the arc pair j, tracks 2 and 3 leave
+    it backwards along the arc pair j - 1.
+    """
+    return t * n + (vertex - (t >= 2)) % n
+
+
+def dart_track(n: int, dart):
+    """Track of a dart code; elementwise on arrays."""
+    return dart // n
 
 
 # -- automorphisms ------------------------------------------------------------
@@ -167,6 +185,21 @@ class DCAut:
     def arc_perm(self) -> list[int]:
         return [self.dart_image(d) for d in range(4 * self.n)]
 
+    def homology_action(self) -> tuple[list[int], list[int]]:
+        """Signed permutation (perm, sign) of the action on first homology.
+
+        The basis is c_0, ..., c_{n-1}, c_* with c_j the difference of the
+        two parallel arcs from vertex j and c_* the sum of all arcs; basis
+        vector i maps to sign[i] times basis vector perm[i].  tau_J negates
+        the c_j with j in J, sigma sends c_j to -c_{-j} and negates c_*, rho
+        shifts indices.
+        """
+        n = self.n
+        corner = -1 if self.reflect else 1
+        perm = [((-i if self.reflect else i) + self.shift) % n for i in range(n)]
+        sign = [corner * (-1 if (self.swaps >> i) & 1 else 1) for i in range(n)]
+        return perm + [n], sign + [corner]
+
     # text form
 
     def to_text(self) -> str:
@@ -202,51 +235,18 @@ class DCAut:
         return self.to_text()
 
 
-class DoubledCycle:
-    """Dart structure of the doubled cycle on n vertices."""
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("need at least one vertex")
-        self.n = n
-        self.dart_count = 4 * n
-
-    def beg(self, dart: int) -> int:
-        t, j = divmod(dart, self.n)
-        return j if t < 2 else (j + 1) % self.n
-
-    def inv(self, dart: int) -> int:
-        t, j = divmod(dart, self.n)
-        return (t ^ 2) * self.n + j
-
-    def end(self, dart: int) -> int:
-        return self.beg(self.inv(dart))
-
-
 # -- action on first homology -------------------------------------------------
 
 
 def homology_matrix(aut: DCAut, p: int) -> np.ndarray:
     """Matrix of the automorphism on first homology mod p, rows are images.
 
-    The basis is c_0, ..., c_{n-1}, c_* with c_j the difference of the two
-    parallel arcs from vertex j and c_* the sum of all arcs.  tau_J negates
-    the c_j with j in J, sigma sends c_j to -c_{-j} and negates c_*, rho
-    shifts indices; the composite has one signed entry per row.
+    Row i carries the single signed entry of DCAut.homology_action.
     """
-    n = aut.n
-    mat = np.zeros((n + 1, n + 1), dtype=np.int64)
-    corner = -1 if aut.reflect else 1
-    for i in range(n):
-        col = ((-i if aut.reflect else i) + aut.shift) % n
-        sign = corner * (-1 if (aut.swaps >> i) & 1 else 1)
-        mat[i, col] = sign % p
-    mat[n, n] = corner % p
+    perm, sign = aut.homology_action()
+    mat = np.zeros((aut.n + 1, aut.n + 1), dtype=np.int64)
+    mat[np.arange(aut.n + 1), perm] = np.array(sign) % p
     return mat
-
-
-def mat_mult(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return (a @ b) % p
 
 
 # -- vertex- and edge-transitive subgroups -------------------------------------

@@ -11,12 +11,13 @@ it exists.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .cover import CoverGraph, GeneratorMatrix
-from .dcycle import DCAut, span_basis
+from .dcycle import DCAut, dart_at, dart_track, span_basis, subgroup_from_case
 from .reflex import DivisorInfo, is_maximal_divisor, is_maximal_weakly_reflexible
 
 # -- the row-space criterion ---------------------------------------------------
@@ -66,9 +67,7 @@ def lifts_by_invariance(aut: DCAut, matrix: GeneratorMatrix) -> bool:
     if aut.n != n:
         raise ValueError("automorphism and matrix disagree on the cycle length")
     pivots, rows = _row_space(matrix)
-    corner = -1 if aut.reflect else 1
-    perm = [((-i if aut.reflect else i) + aut.shift) % n for i in range(n)]
-    sign = [corner * (-1 if (aut.swaps >> i) & 1 else 1) for i in range(n)]
+    perm, sign = aut.homology_action()
     for w in rows:
         y = [sign[i] * w[perm[i]] % p for i in range(n)]
         if any(_reduce(y, pivots, rows, p)):
@@ -114,10 +113,10 @@ def lift_by_propagation(
 
     The image of vertex 0 determines everything else: each dart at a
     placed vertex must map to the unique dart over the image of its base
-    dart, which forces the image of the far endpoint.  Breadth-first
-    propagation either completes the permutation or revisits a vertex
-    with a conflicting image.  By default vertex 0 goes to the zero fiber
-    point over its base image.
+    dart, which forces the image of the far endpoint.  Propagation runs
+    level by level from vertex 0 and either completes the permutation or
+    forces a conflicting image on some vertex.  By default vertex 0 goes to
+    the zero fiber point over its base image.
     """
     n = cover.n
     if aut.n != n:
@@ -126,30 +125,34 @@ def lift_by_propagation(
         base_image = cover.vertex_id((0,) * cover.r, aut.vertex_image(0))
     if cover.layer(base_image) != aut.vertex_image(0):
         raise ValueError("base image must lie over the image of vertex 0")
-    image = [-1] * cover.order
+    # tracks[j, t]: track of the image of the dart of track t at base vertex j.
+    layers = np.arange(n)[:, None]
+    images = np.asarray(aut.arc_perm())[dart_at(n, layers, np.arange(4))]
+    tracks = dart_track(n, images)
+    starts = np.asarray(aut.vertex_perm())[layers]
+    if not np.array_equal(images, dart_at(n, starts, tracks)):
+        raise AssertionError("image dart does not start at the image vertex")
+    ends = cover.dart_ends
+    image = np.full(cover.order, -1, dtype=np.int64)
     image[0] = base_image
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        iu = image[u]
-        for t in range(4):
-            target = aut.dart_image(cover.base_dart(u, t))
-            t2, j2 = divmod(target, n)
-            start = cover.layer(iu) if t2 < 2 else (cover.layer(iu) - 1) % n
-            if j2 != start:
-                raise AssertionError("image dart does not start at the image vertex")
-            v = int(cover.dart_end(u, t))
-            iv = int(cover.dart_end(iu, t2))
-            if image[v] < 0:
-                image[v] = iv
-                queue.append(v)
-            elif image[v] != iv:
-                return Inconsistent(vertex=v, expected=image[v], got=iv)
-    if min(image) < 0:
+    frontier = np.zeros(1, dtype=np.int64)
+    while len(frontier):
+        v = ends[frontier].ravel()
+        iv = ends[image[frontier][:, None], tracks[frontier // cover.fiber_size]].ravel()
+        fresh = image[v] < 0
+        image[v[fresh]] = iv[fresh]
+        bad = np.flatnonzero(image[v] != iv)
+        if len(bad):
+            w, got = int(v[bad[0]]), int(iv[bad[0]])
+            return Inconsistent(vertex=w, expected=int(image[w]), got=got)
+        reached = np.zeros(cover.order, dtype=bool)
+        reached[v[fresh]] = True
+        frontier = np.flatnonzero(reached)
+    if image.min() < 0:
         raise AssertionError("propagation did not reach every vertex")
-    if len(set(image)) != cover.order:
+    if not np.array_equal(np.sort(image), np.arange(cover.order)):
         raise AssertionError("propagation produced a non-bijective map")
-    return image
+    return image.tolist()
 
 
 # -- the lifting subgroup of a divisor ------------------------------------------
@@ -194,10 +197,7 @@ def lifting_report(info: DivisorInfo) -> LiftReport:
     row-space criterion before being reported.
     """
     n, eps, d = info.n, info.eps, info.step
-    gens = [DCAut.periodic_swap(n, i, d) for i in range(d)]
-    tau0 = DCAut.edge_swap(n, 0)
-    rot = DCAut.rotation(n)
-    gens.append(rot * tau0 if eps else rot)
+    b_masks = [DCAut.periodic_swap(n, i, d).swaps for i in range(d)]
     tau_l = None
     if info.weakly_reflexible:
         if info.core_refl.type1:
@@ -206,10 +206,9 @@ def lifting_report(info: DivisorInfo) -> LiftReport:
             if n % (2 * d):
                 raise AssertionError("a strictly type-2 core forces an even quotient")
             tau_l = DCAut(n, swaps=sum(1 << j for j in range(n) if j % (2 * d) < d))
-        refl = DCAut.reflection(n)
-        if eps:
-            refl = refl * tau0
-        gens.append(refl * tau_l)
+        gens = subgroup_from_case(n, "iii", b_masks, eps, j_mask=tau_l.swaps)
+    else:
+        gens = subgroup_from_case(n, "ii", b_masks, eps)
     matrix = GeneratorMatrix.from_poly(info.g, n)
     for g in gens:
         if not lifts_by_invariance(g, matrix):

@@ -47,6 +47,21 @@ def perm_inverse(p: np.ndarray) -> np.ndarray:
     return inv
 
 
+def reach(table: np.ndarray, start: int) -> np.ndarray:
+    """Mask of the points reached from start, row x of the table listing
+    the points one step from x; breadth-first with a boolean frontier."""
+    seen = np.zeros(len(table), dtype=bool)
+    seen[start] = True
+    frontier = np.array([start])
+    while len(frontier):
+        reached = np.zeros(len(table), dtype=bool)
+        reached[table[frontier]] = True
+        reached &= ~seen
+        seen |= reached
+        frontier = np.flatnonzero(reached)
+    return seen
+
+
 def perm_order(p: np.ndarray) -> int:
     """Order of the permutation: lcm of cycle lengths."""
     n = len(p)
@@ -182,18 +197,8 @@ class PermGroup:
         """Orbit of a point, ascending."""
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range")
-        seen = {point}
-        frontier = [point]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.gens:
-                    y = int(g[x])
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return sorted(seen)
+        images = np.array(self.gens, dtype=np.int32).reshape(-1, self.degree)
+        return np.flatnonzero(reach(images.T, point)).tolist()
 
     def orbits(self) -> list[list[int]]:
         """All orbits, each ascending, ordered by smallest element."""
@@ -355,45 +360,61 @@ class NotAnAutomorphism(ValueError):
     pass
 
 
-def _check_automorphism(adj: list[list[int]], perm: np.ndarray) -> None:
-    sets = [set(nbrs) for nbrs in adj]
-    for u, nbrs in enumerate(adj):
-        iu = int(perm[u])
-        for v in nbrs:
-            if int(perm[v]) not in sets[iu]:
-                raise NotAnAutomorphism(f"edge ({u},{v}) is not preserved")
+def arc_action(adj):
+    """The map from vertex permutations to arc permutations, and the arc reversal.
+
+    The adjacency is a table with one row per vertex, such as the dart_ends
+    of a cover, or plain, possibly ragged, lists.  Arcs are numbered in
+    adjacency order, so on a cover arc 4u+t is the dart of track t at u.
+    Images are found by binary search among the sorted (tail, head) keys.
+    The map raises NotAnAutomorphism when a permutation sends an arc to a
+    non-arc; a ValueError here means the adjacency is not symmetric.
+    """
+    if isinstance(adj, np.ndarray):
+        heads = adj.ravel()
+        tails = np.repeat(np.arange(len(adj), dtype=np.int32), adj.shape[1])
+    else:
+        heads = np.fromiter((v for nbrs in adj for v in nbrs), dtype=np.int64)
+        tails = np.repeat(np.arange(len(adj)), [len(nbrs) for nbrs in adj])
+    degree = len(adj)
+    keys = tails.astype(np.int64) * degree + heads
+    order = np.argsort(keys, kind="stable").astype(np.int32)
+    keys = keys[order]
+
+    def find(tail_img, head_img):
+        want = tail_img.astype(np.int64) * degree + head_img
+        at = np.searchsorted(keys, want).clip(max=max(len(keys) - 1, 0))
+        return order[at], np.flatnonzero(keys[at] != want)
+
+    def arc_perm(perm) -> np.ndarray:
+        g = as_perm(perm, degree)
+        arcs, missed = find(g[tails], g[heads])
+        if len(missed):
+            k = missed[0]
+            raise NotAnAutomorphism(f"edge ({tails[k]},{heads[k]}) is not preserved")
+        return arcs
+
+    reversal, missed = find(heads, tails)
+    if len(missed):
+        raise ValueError("the adjacency is not symmetric")
+    return arc_perm, reversal
 
 
-def transitivity_profile(group, cover) -> dict:
+def transitivity_profile(group, graph) -> dict:
     """Orbit counts of a vertex group on vertices, edges and arcs of a graph.
 
-    Accepts a PermGroup or a plain generator list; the graph provides
-    adjacency().  Raises NotAnAutomorphism when a generator breaks an edge.
+    Accepts a PermGroup or a plain generator list, and a CoverGraph or
+    adjacency lists.  Edge orbits are the orbits of the arc group extended
+    by the arc reversal.  Raises NotAnAutomorphism when a generator breaks
+    an edge.
     """
-    adj = cover.adjacency() if hasattr(cover, "adjacency") else cover
-    degree = len(adj)
-    gens = group.gens if isinstance(group, PermGroup) else [
-        as_perm(g, degree) for g in group
-    ]
-    for g in gens:
-        _check_automorphism(adj, g)
-    arcs = [(u, v) for u in range(degree) for v in adj[u]]
-    arc_index = {a: i for i, a in enumerate(arcs)}
-    arc_gens = []
-    for g in gens:
-        arc_gens.append([arc_index[(int(g[u]), int(g[v]))] for (u, v) in arcs])
-    edges = sorted({(min(u, v), max(u, v)) for u, v in arcs})
-    edge_index = {e: i for i, e in enumerate(edges)}
-    edge_gens = []
-    for g in gens:
-        img = []
-        for (u, v) in edges:
-            iu, iv = int(g[u]), int(g[v])
-            img.append(edge_index[(min(iu, iv), max(iu, iv))])
-        edge_gens.append(img)
-    v_orbits = len(PermGroup(gens, degree).orbits()) if gens else degree
-    e_orbits = len(PermGroup(edge_gens, len(edges)).orbits()) if gens else len(edges)
-    a_orbits = len(PermGroup(arc_gens, len(arcs)).orbits()) if gens else len(arcs)
+    gens = group.gens if isinstance(group, PermGroup) else group
+    adj = getattr(graph, "dart_ends", graph)
+    arc_perm, reversal = arc_action(adj)
+    arc_gens = [arc_perm(g) for g in gens]
+    v_orbits = len(PermGroup(gens, len(adj)).orbits())
+    e_orbits = len(PermGroup(arc_gens + [reversal], len(reversal)).orbits())
+    a_orbits = len(PermGroup(arc_gens, len(reversal)).orbits())
     return {
         "vertex_orbits": v_orbits,
         "edge_orbits": e_orbits,
@@ -625,10 +646,9 @@ def automorphism_group(
         raise OracleLimit(f"graph has {n} vertices, above the oracle limit {limit}")
     deadline = None if time_budget is None else time.monotonic() + time_budget
     gens, _ = _AutSearch(adj, deadline).run()
+    arc_perm, _ = arc_action(adj)
     for g in gens:
-        _check_automorphism(adj, g)
-    if not gens:
-        return PermGroup([], n)
+        arc_perm(g)
     return PermGroup(gens, n)
 
 

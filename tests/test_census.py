@@ -1,7 +1,10 @@
 """Tests for census rows, serialization and the command line."""
 
+import importlib.util
+import inspect
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +141,23 @@ def test_cli_reports_bad_sweeps_without_traceback(capsys, argv, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--p", "7", "--n", "3", "--g", "1,1"], "is not a proper divisor"),
+        (["--p", "4", "--n", "3", "--g", "1"], "odd prime"),
+        (["--p", "7", "--n", "3", "--g", "x"], "invalid literal"),
+    ],
+)
+def test_cli_export_reports_bad_input_without_traceback(capsys, argv, message):
+    with pytest.raises(SystemExit) as stop:
+        main(["export", "--eps", "0", *argv])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 # -- export ---------------------------------------------------------------------
 
 
@@ -192,6 +212,23 @@ def test_cli_export_writes_edges(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "# p=7 n=3 eps=0 r=1 g=1,1,1"
     assert len(lines) == 1 + 42  # 21 vertices of valence 4
+
+
+def test_traced_layers_are_looked_up_through_census():
+    # perfbench/trace_census.py times a layer by rebinding its name in
+    # dccover.census, so a layer the census stops calling by that name would
+    # silently drop out of the traced benchmark.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "trace_census.py"
+    spec = importlib.util.spec_from_file_location("trace_census", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = set(tracer.PATCHED.values()) | {"PermGroup"}
+    looked_up = set()
+    for value in vars(census_mod).values():
+        if inspect.isfunction(value) and value.__module__ == census_mod.__name__:
+            looked_up |= set(value.__code__.co_names)
+    assert names <= looked_up, names - looked_up
+    assert all(hasattr(census_mod, name) for name in names)
 
 
 def test_cli_exit_code_on_mismatch(monkeypatch, tmp_path):

@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from dccover.dcycle import (
     DCAut,
-    DoubledCycle,
+    dart_at,
+    dart_track,
     homology_matrix,
     in_span,
     mask_bits,
     mask_reverse,
     mask_shift,
-    mat_mult,
     span_basis,
     subgroup_from_case,
 )
@@ -105,11 +105,20 @@ def test_periodic_swap():
 
 @given(aut_strategy())
 def test_dart_action_preserves_structure(g):
-    dc = DoubledCycle(g.n)
-    for d in range(dc.dart_count):
-        img = g.dart_image(d)
-        assert dc.inv(img) == g.dart_image(dc.inv(d))
-        assert dc.beg(img) == g.vertex_image(dc.beg(d))
+    n = g.n
+    darts = {dart_at(n, j, t) for j in range(n) for t in range(4)}
+    assert darts == set(range(4 * n))
+    for j in range(n):
+        for t in range(4):
+            img = g.dart_image(dart_at(n, j, t))
+            t2 = dart_track(n, img)
+            # The image leaves the image of the start vertex ...
+            assert img == dart_at(n, g.vertex_image(j), t2)
+            # ... and the image of the inverse dart is the inverse image.
+            end = (j + 1) % n if t < 2 else (j - 1) % n
+            assert g.dart_image(dart_at(n, end, t ^ 2)) == dart_at(
+                n, g.vertex_image(end), t2 ^ 2
+            )
 
 
 # -- normal-form algebra ---------------------------------------------------
@@ -265,7 +274,7 @@ def test_generator_matrix_transposes():
 def test_homology_is_a_homomorphism(pair, p):
     g, h = pair
     lhs = homology_matrix(g * h, p)
-    rhs = mat_mult(homology_matrix(g, p), homology_matrix(h, p), p)
+    rhs = (homology_matrix(g, p) @ homology_matrix(h, p)) % p
     assert np.array_equal(lhs, rhs)
 
 
@@ -273,7 +282,7 @@ def test_homology_is_a_homomorphism(pair, p):
 def test_homology_matrix_is_invertible(g, p):
     m = homology_matrix(g, p)
     m_inv = homology_matrix(g.inverse(), p)
-    assert np.array_equal(mat_mult(m, m_inv, p), np.eye(g.n + 1, dtype=np.int64))
+    assert np.array_equal((m @ m_inv) % p, np.eye(g.n + 1, dtype=np.int64))
 
 
 # -- transitive subgroup shapes ---------------------------------------------

@@ -155,6 +155,10 @@ def test_propagation_agrees_with_invariance(case, data):
     predicted = lifts_by_invariance(aut, m)
     got = lift_by_propagation(aut, cov)
     assert isinstance(got, list) == predicted
+    if predicted:
+        transitivity_profile([got], cov)  # raises if an edge breaks
+        layers = [cov.layer(x) for x in got]
+        assert layers == [aut.vertex_image(cov.layer(v)) for v in range(cov.order)]
 
 
 def test_basepoint_independence():

@@ -20,6 +20,10 @@ from dccover.permgrp import (
     perm_order,
     transitivity_profile,
 )
+from dccover.cover import build_cover
+from dccover.fpoly import modulus_divisors
+from dccover.lift import lifted_generators, lifting_report
+from dccover.reflex import divisor_info
 
 
 def brute_closure(gens, degree, cap=20000):
@@ -213,6 +217,64 @@ def test_profile_dihedral_closes_arcs():
         "edge_transitive": True,
         "arc_transitive": True,
     }
+
+
+def closure_orbit_counts(gens, adj):
+    """Orbit counts on vertices, edges and arcs by plain set closure."""
+
+    def count(points, act):
+        left = set(points)
+        orbits = 0
+        while left:
+            orbits += 1
+            frontier = [left.pop()]
+            while frontier:
+                x = frontier.pop()
+                for g in gens:
+                    y = act(g, x)
+                    if y in left:
+                        left.remove(y)
+                        frontier.append(y)
+        return orbits
+
+    arcs = [(u, v) for u in range(len(adj)) for v in adj[u]]
+    edges = {frozenset(a) for a in arcs}
+    return (
+        count(range(len(adj)), lambda g, x: int(g[x])),
+        count(edges, lambda g, e: frozenset(int(g[x]) for x in e)),
+        count(arcs, lambda g, a: (int(g[a[0]]), int(g[a[1]]))),
+    )
+
+
+def profile_counts(gens, graph):
+    prof = transitivity_profile(gens, graph)
+    return prof["vertex_orbits"], prof["edge_orbits"], prof["arc_orbits"]
+
+
+def test_profile_matches_plain_closure_on_small_covers():
+    checked = 0
+    for p in (3, 5, 7):
+        for n in range(3, 9):
+            for eps in (0, 1):
+                for g in modulus_divisors(n, eps, p):
+                    info = divisor_info(g, n, eps)
+                    if n * p**info.fiber_dim > 200:
+                        continue
+                    cov = build_cover(g, n, eps)
+                    adj = cov.adjacency()
+                    lifted = lifted_generators(lifting_report(info), cov)
+                    for gens in (lifted, cov.translations()):
+                        want = closure_orbit_counts(gens, adj)
+                        assert profile_counts(gens, cov) == want, (p, n, eps, g.coeffs)
+                        assert profile_counts(gens, adj) == want
+                    checked += 1
+    assert checked > 50
+
+
+@pytest.mark.parametrize("gens", [[], [[3, 2, 1, 0]]])
+def test_profile_matches_plain_closure_on_a_ragged_graph(gens):
+    path = [[1], [0, 2], [1, 3], [2]]
+    assert profile_counts(gens, path) == closure_orbit_counts(gens, path)
 
 
 def test_profile_rejects_non_automorphism():
