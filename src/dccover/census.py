@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 from .cover import CoverGraph, build_cover
@@ -113,7 +114,10 @@ def _census_row(task) -> CensusRow:
 
 
 def _check_sweep(ps, ns) -> None:
-    """Raise ValueError unless every p is an odd prime and every n is at least 3."""
+    """Raise ValueError unless the sweep has a p and an n, every p is an odd
+    prime and every n is at least 3."""
+    if not ps or not ns:
+        raise ValueError("the sweep needs at least one p and one n")
     for p in ps:
         if not is_odd_prime(p):
             raise ValueError(f"p={p} is not an odd prime")
@@ -274,8 +278,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_out(path):
-    return open(path, "w") if path else sys.stdout
+def _open_out(parser, path):
+    """The output stream, opened before any work so that a bad path fails at once."""
+    if not path:
+        return nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as err:
+        parser.error(f"--out: {err}")
 
 
 def main(argv=None) -> int:
@@ -286,37 +296,29 @@ def main(argv=None) -> int:
             _check_sweep(args.p, args.n)
         except ValueError as err:
             parser.error(str(err))
-        rows = census_rows(
-            args.p,
-            args.n,
-            args.eps,
-            verify=args.verify,
-            max_order=args.max_order,
-            aut_limit=args.aut_limit,
-            time_budget=args.time_budget,
-            jobs=args.jobs,
-        )
-        stream = _open_out(args.out)
-        try:
+        with _open_out(parser, args.out) as stream:
+            rows = census_rows(
+                args.p,
+                args.n,
+                args.eps,
+                verify=args.verify,
+                max_order=args.max_order,
+                aut_limit=args.aut_limit,
+                time_budget=args.time_budget,
+                jobs=args.jobs,
+            )
             if args.format == "tsv":
                 write_tsv(rows, stream)
             else:
                 write_jsonl(rows, stream)
-        finally:
-            if stream is not sys.stdout:
-                stream.close()
         return 2 if any(row.mismatch for row in rows) else 0
-    try:
-        coeffs = tuple(int(c) for c in args.g.split(","))
-        cover = build_cover(FpPoly(args.p, coeffs), args.n, args.eps)
-    except ValueError as err:
-        parser.error(str(err))
-    stream = _open_out(args.out)
-    try:
+    with _open_out(parser, args.out) as stream:
+        try:
+            coeffs = tuple(int(c) for c in args.g.split(","))
+            cover = build_cover(FpPoly(args.p, coeffs), args.n, args.eps)
+        except ValueError as err:
+            parser.error(str(err))
         export_graph(cover, stream, voltages=args.voltages)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return 0
 
 

@@ -11,7 +11,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
+from types import MappingProxyType
 
 PRIME_LIMIT = 10**6
 
@@ -301,30 +302,37 @@ def factor_code_modulus(n: int, eps: int, p: int) -> tuple[tuple[FpPoly, int], .
 
 
 @lru_cache(maxsize=None)
-def modulus_divisors(n: int, eps: int, p: int) -> tuple[FpPoly, ...]:
-    """All monic divisors of x^n - (-1)^eps except the modulus itself.
+def divisor_exponents(n: int, eps: int, p: int) -> MappingProxyType:
+    """Each monic divisor of x^n - (-1)^eps except the modulus itself, mapped
+    to its exponent vector over factor_code_modulus.
 
     Includes the constant 1.  Sorted by degree, then coefficient tuples low
-    degree first.
+    degree first.  One divisor lies above another exactly when its exponent
+    vector is at least the other's in every slot.
     """
     factors = factor_code_modulus(n, eps, p)
-    divisors = []
-    ranges = [range(m + 1) for _, m in factors]
-    for exps in itertools.product(*ranges):
+    full = tuple(m for _, m in factors)
+    table = {}
+    for exps in itertools.product(*[range(m + 1) for m in full]):
         d = poly_one(p)
         for (f, _), e in zip(factors, exps):
             for _ in range(e):
                 d = d * f
-        divisors.append(d)
-    divisors.sort(key=lambda f: (f.degree, f.coeffs))
-    full = code_modulus(n, eps, p)
-    out = tuple(d for d in divisors if d != full)
-    expected = 1
-    for _, m in factors:
-        expected *= m + 1
-    if len(out) != expected - 1:
+        table[d] = exps
+    if table.pop(code_modulus(n, eps, p), None) != full:
+        raise AssertionError("the factors do not multiply to the modulus")
+    if len(table) != prod(m + 1 for m in full) - 1:
         raise AssertionError("divisor lattice size mismatch")
-    return out
+    return MappingProxyType(
+        dict(sorted(table.items(), key=lambda item: (item[0].degree, item[0].coeffs)))
+    )
+
+
+@lru_cache(maxsize=None)
+def modulus_divisors(n: int, eps: int, p: int) -> tuple[FpPoly, ...]:
+    """All monic divisors of x^n - (-1)^eps except the modulus itself, in the
+    order of divisor_exponents."""
+    return tuple(divisor_exponents(n, eps, p))
 
 
 def support_gcd(f: FpPoly, constant_default: int | None = None) -> int:

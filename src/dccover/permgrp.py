@@ -8,9 +8,8 @@ plain lists are accepted everywhere.
 
 from __future__ import annotations
 
-import random
 import time
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
@@ -82,17 +81,6 @@ def perm_order(p: np.ndarray) -> int:
 
 _UNSEEN = -1
 _ROOT = -2
-
-# The bounded chain sifts product-replacement random elements (Celler et al.,
-# 1995).  The fixed seed keeps chains reproducible.  Against an incomplete
-# chain a uniformly random element fails to sift through with probability at
-# least 1/2, so a run of _PATIENCE elements that all sift through almost surely
-# means the group does not reach the bound, and the deterministic closure
-# takes over.
-_RANDOM_SEED = 1
-_SLOTS = 10
-_WARMUP = 40
-_PATIENCE = 24
 
 
 class _Level:
@@ -170,14 +158,14 @@ class _Level:
 class PermGroup:
     """Group generated by permutations, with a lazy stabilizer chain.
 
-    Without upper_bound the chain is closed deterministically by sifting
-    every Schreier generator; this is the reference path.  upper_bound must
-    be a proven upper bound on the group order.  With it the chain grows by
-    sifting random elements until the product of its basic orbit lengths,
-    a lower bound on the order, equals upper_bound.  Equality forces a
-    complete chain, so order() and contains() stay exact.  A stall below
-    the bound falls back to the deterministic closure, and a chain above the
-    bound raises ValueError, since the bound was false.
+    The chain is built by sifting the generators and then every Schreier
+    generator (Seress, Permutation Group Algorithms, 2003, ch. 4).
+    upper_bound, when given, must be a proven upper bound on the group
+    order.  The product of the basic orbit lengths is a lower bound on the
+    order at every step, so the closure stops as soon as it equals
+    upper_bound: equality forces a complete chain, and order() and
+    contains() stay exact.  A loose bound lets the closure finish, and a
+    chain above the bound raises ValueError, since the bound was false.
     """
 
     def __init__(
@@ -229,21 +217,18 @@ class PermGroup:
         self._levels = []
         self._id = perm_identity(self.degree)
         for g in self.gens:
-            self._add(g)
-        if self.upper_bound is not None and self._random_fill():
-            return
+            residue, li = self._sift(g, 0)
+            if residue is not None:
+                self._extend(residue, li)
         self._complete()
-        if self.upper_bound is not None:
-            self._meets_bound()
 
     def _chain_order(self) -> int:
-        total = 1
-        for lvl in self._levels:
-            total *= len(lvl.orbit)
-        return total
+        return prod(len(lvl.orbit) for lvl in self._levels)
 
     def _meets_bound(self) -> bool:
         """Whether the chain order equals upper_bound; raises when above it."""
+        if self.upper_bound is None:
+            return False
         total = self._chain_order()
         if total > self.upper_bound:
             self._levels = None
@@ -251,39 +236,6 @@ class PermGroup:
                 f"the chain reaches order {total}, above the bound {self.upper_bound}"
             )
         return total == self.upper_bound
-
-    def _random_fill(self) -> bool:
-        """Sift random elements until the chain order meets upper_bound.
-
-        Returns False once _PATIENCE elements in a row leave the chain as it
-        was.  Product replacement keeps _SLOTS elements, replaces one by its
-        product with another, and folds each new slot into a running product.
-        """
-        if self._meets_bound():
-            return True
-        if not self.gens:
-            return False
-        rng = random.Random(_RANDOM_SEED)
-        slots = [self.gens[i % len(self.gens)] for i in range(max(_SLOTS, len(self.gens)))]
-        acc = self._id
-        steps = misses = 0
-        while misses < _PATIENCE:
-            i, j = rng.sample(range(len(slots)), 2)
-            if rng.random() < 0.5:
-                slots[i] = perm_mult(slots[i], slots[j])
-            else:
-                slots[i] = perm_mult(slots[j], slots[i])
-            acc = perm_mult(acc, slots[i])
-            steps += 1
-            if steps <= _WARMUP:
-                continue
-            if not self._add(acc):
-                misses += 1
-            elif self._meets_bound():
-                return True
-            else:
-                misses = 0
-        return False
 
     def _sift(self, p: np.ndarray, start: int):
         """Reduce p through the chain; (None, _) when it reaches identity."""
@@ -295,13 +247,6 @@ class PermGroup:
         if np.array_equal(p, self._id):
             return None, len(self._levels)
         return p, len(self._levels)
-
-    def _add(self, g: np.ndarray) -> bool:
-        residue, li = self._sift(g, 0)
-        if residue is None:
-            return False
-        self._extend(residue, li)
-        return True
 
     def _extend(self, residue: np.ndarray, li: int) -> None:
         """Make a residue that sifted down to level li a strong generator."""
@@ -315,22 +260,22 @@ class PermGroup:
             self._levels[j].add_gen(residue, inv)
 
     def _complete(self) -> None:
-        """Process every Schreier generator until the chain is closed."""
-        while True:
+        """Sift Schreier generators until the chain is closed or meets upper_bound."""
+        progressed = True
+        while progressed and not self._meets_bound():
             progressed = False
             li = 0
-            while li < len(self._levels):
+            while li < len(self._levels) and not self._meets_bound():
                 progressed |= self._close_level(li)
                 li += 1
-            if not progressed:
-                break
 
     def _close_level(self, li: int) -> bool:
         """Sift the Schreier generators of level li not yet sifted.
 
         Points are taken in orbit order and each generator keeps a count of
         the points done, so one transversal element serves every generator
-        pending at a point.  Returns whether the chain grew.
+        pending at a point.  Returns whether the chain grew, at once when
+        the chain meets upper_bound.
         """
         lvl = self._levels[li]
         grew = False
@@ -353,6 +298,8 @@ class PermGroup:
                 residue, drop = self._sift(lvl.strip(s[u]), li + 1)
                 if residue is not None:
                     self._extend(residue, drop)
+                    if self._meets_bound():
+                        return True
                     grew = True
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fpoly import FpPoly, code_modulus, compress, modulus_divisors, support_gcd
+from .fpoly import FpPoly, compress, divisor_exponents, support_gcd
 
 
 @dataclass(frozen=True)
@@ -62,32 +62,37 @@ def is_weakly_reflexible(g: FpPoly, n: int) -> bool:
     return reflexibility_of(core) is not None
 
 
-def _require_divisor(g: FpPoly, n: int, eps: int) -> None:
-    mod = code_modulus(n, eps, g.p)
-    if g == mod or not g.divides(mod):
+def _require_divisor(g: FpPoly, n: int, eps: int) -> tuple[int, ...]:
+    """The exponent vector of g; ValueError unless g is a monic proper divisor."""
+    exps = divisor_exponents(n, eps, g.p).get(g)
+    if exps is None:
         raise ValueError(
-            f"{g.to_text()!r} is not a proper divisor of the length-{n} modulus"
+            f"{g.to_text()!r} is not a monic proper divisor of the length-{n} modulus"
         )
+    return exps
+
+
+def _divisors_above(g: FpPoly, n: int, eps: int) -> list[FpPoly]:
+    """The proper divisors of the modulus strictly above g."""
+    low = _require_divisor(g, n, eps)
+    return [
+        q
+        for q, exps in divisor_exponents(n, eps, g.p).items()
+        if exps != low and all(a >= b for a, b in zip(exps, low))
+    ]
 
 
 def is_maximal_divisor(g: FpPoly, n: int, eps: int) -> bool:
     """True when no proper divisor of the modulus lies strictly above g."""
-    _require_divisor(g, n, eps)
-    for q in modulus_divisors(n, eps, g.p):
-        if q != g and g.divides(q):
-            return False
-    return True
+    return not _divisors_above(g, n, eps)
 
 
 def is_maximal_weakly_reflexible(g: FpPoly, n: int, eps: int) -> bool:
     """True when no weakly reflexible proper divisor lies strictly above g."""
-    _require_divisor(g, n, eps)
+    above = _divisors_above(g, n, eps)
     if not is_weakly_reflexible(g, n):
         raise ValueError(f"{g.to_text()!r} is not weakly reflexible")
-    for q in modulus_divisors(n, eps, g.p):
-        if q != g and g.divides(q) and is_weakly_reflexible(q, n):
-            return False
-    return True
+    return not any(is_weakly_reflexible(q, n) for q in above)
 
 
 @dataclass(frozen=True)
@@ -117,8 +122,6 @@ class DivisorInfo:
 def divisor_info(g: FpPoly, n: int, eps: int) -> DivisorInfo:
     """Classify a proper divisor; validates divisibility and monicity."""
     _require_divisor(g, n, eps)
-    if g.leading != 1:
-        raise ValueError("divisors are handled in monic form")
     d, core = core_polynomial(g, n)
     if n % d:
         raise AssertionError("support step must divide the code length")

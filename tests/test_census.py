@@ -130,9 +130,14 @@ def test_census_rejects_bad_arguments():
     [
         (["--p", "4", "--n", "3"], "p=4 is not an odd prime"),
         (["--p", "3", "--n", "2", "--verify", "lifts"], "n=2 is below 3"),
+        (["--p", "3", "--n", "3..2"], "at least one p and one n"),
+        (["--p", "3", "--n", "3", "--out", "missing/rows.tsv"], "No such file"),
     ],
 )
-def test_cli_reports_bad_sweeps_without_traceback(capsys, argv, message):
+def test_cli_reports_bad_sweeps_without_traceback(
+    capsys, monkeypatch, tmp_path, argv, message
+):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as stop:
         main(["census", *argv])
     assert stop.value.code == 2
@@ -147,9 +152,13 @@ def test_cli_reports_bad_sweeps_without_traceback(capsys, argv, message):
         (["--p", "7", "--n", "3", "--g", "1,1"], "is not a proper divisor"),
         (["--p", "4", "--n", "3", "--g", "1"], "odd prime"),
         (["--p", "7", "--n", "3", "--g", "x"], "invalid literal"),
+        (["--p", "7", "--n", "3", "--g", "1,1,1", "--out", "missing/g.txt"], "No such file"),
     ],
 )
-def test_cli_export_reports_bad_input_without_traceback(capsys, argv, message):
+def test_cli_export_reports_bad_input_without_traceback(
+    capsys, monkeypatch, tmp_path, argv, message
+):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as stop:
         main(["export", "--eps", "0", *argv])
     assert stop.value.code == 2

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -240,6 +241,21 @@ def test_certified_order_matches_the_reference_chain():
                         assert certified.contains(moved) == reference.contains(moved)
                     checked += 1
     assert checked == 68
+
+
+def test_certified_order_stops_at_the_bound_on_a_large_cover():
+    # 18,750 vertices: the closure must stop once the chain meets the bound,
+    # since sifting every Schreier generator at this degree takes over a minute.
+    start = time.perf_counter()
+    g = FpPoly(5, (1, 1))
+    report = lifting_report(divisor_info(g, 6, 0))
+    cov = build_cover(g, 6, 0)
+    gens = lifted_generators(report, cov)
+    bound = cov.group_order_bound(gens)
+    assert cov.order == 18750
+    order = PermGroup(gens, upper_bound=bound).order()
+    assert order == bound == report.lifted_order == 75000
+    assert time.perf_counter() - start < 10
 
 
 # -- extremal families ----------------------------------------------------------
