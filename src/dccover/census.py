@@ -249,6 +249,20 @@ def _parse_eps(text: str) -> tuple[int, ...]:
     raise argparse.ArgumentTypeError("eps must be 0, 1 or both")
 
 
+def _above_zero(kind):
+    """An argparse type: a number of the given kind that is above 0."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"{text} is not above 0")
+        return value
+
+    # argparse names the type in its "invalid int value" message.
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dccover",
@@ -261,10 +275,12 @@ def _build_parser() -> argparse.ArgumentParser:
     census.add_argument("--n", type=_parse_ints, required=True, help="lengths, e.g. 3..8")
     census.add_argument("--eps", type=_parse_eps, default=(0, 1), help="0, 1 or both")
     census.add_argument("--verify", choices=VERIFY_TIERS, default="lifts")
-    census.add_argument("--max-order", type=int, default=2500)
-    census.add_argument("--aut-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
-    census.add_argument("--time-budget", type=float, default=None)
-    census.add_argument("--jobs", type=int, default=1)
+    census.add_argument("--max-order", type=_above_zero(int), default=2500)
+    census.add_argument(
+        "--aut-limit", type=_above_zero(int), default=DEFAULT_ORACLE_LIMIT
+    )
+    census.add_argument("--time-budget", type=_above_zero(float), default=None)
+    census.add_argument("--jobs", type=_above_zero(int), default=1)
     census.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
     census.add_argument("--out", default=None, help="output path, stdout by default")
 

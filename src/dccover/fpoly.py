@@ -239,37 +239,20 @@ def _distinct_degree_split(f: FpPoly) -> list[tuple[FpPoly, int]]:
     return out
 
 
-EXHAUSTIVE_SPLIT_LIMIT = 60000
-
-
 def _equal_degree_split(f: FpPoly, k: int, rng: random.Random) -> list[FpPoly]:
-    """Factor monic squarefree f whose irreducible factors all have degree k."""
+    """Factor monic squarefree f whose irreducible factors all have degree k,
+    by Cantor-Zassenhaus splitting."""
     p = f.p
     if f.degree == k:
         return [f]
-    if p**k <= EXHAUSTIVE_SPLIT_LIMIT:
-        # Any degree-k divisor of f is itself one of the irreducible factors.
-        factors = []
-        for low in itertools.product(range(p), repeat=k):
-            cand = FpPoly(p, low + (1,))
-            if cand.divides(f):
-                factors.append(cand)
-                f = f // cand
-                if f.degree == 0:
-                    break
-        return factors
-    # Cantor-Zassenhaus splitting for moduli too large to enumerate.
     exponent = (p**k - 1) // 2
     while True:
         h = FpPoly(p, tuple(rng.randrange(p) for _ in range(f.degree)))
         if h.is_constant:
             continue
         d = poly_gcd(f, h)
-        if 0 < d.degree < f.degree:
-            pass
-        else:
-            w = pow_mod(h, exponent, f) - poly_one(p)
-            d = poly_gcd(f, w)
+        if not 0 < d.degree < f.degree:
+            d = poly_gcd(f, pow_mod(h, exponent, f) - poly_one(p))
             if not 0 < d.degree < f.degree:
                 continue
         left = _equal_degree_split(d.monic(), k, rng)

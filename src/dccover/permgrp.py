@@ -379,114 +379,79 @@ class OracleLimit(RuntimeError):
     pass
 
 
-class _Refiner:
-    """Equitable-partition machinery shared by the search for one graph."""
-
-    def __init__(self, adj: list[list[int]]):
-        self.adj = adj
-        self.n = len(adj)
-
-    def refine(self, cells: list[list[int]], worklist: list[list[int]]):
-        """Split cells by neighbor counts until equitable; returns new cells."""
-        cells = [list(c) for c in cells]
-        cell_of = {}
-        for ci, c in enumerate(cells):
-            for v in c:
-                cell_of[v] = ci
-        queue = [list(c) for c in worklist]
-        while queue:
-            splitter = queue.pop()
-            counts = {}
-            for w in splitter:
-                for u in self.adj[w]:
-                    counts[u] = counts.get(u, 0) + 1
-            touched_cells = {}
-            for u, c in counts.items():
-                touched_cells.setdefault(cell_of[u], set()).add(u)
-            for ci in sorted(touched_cells):
-                cell = cells[ci]
-                if len(cell) == 1:
-                    continue
-                groups = {}
-                for v in cell:
-                    groups.setdefault(counts.get(v, 0), []).append(v)
-                if len(groups) == 1:
-                    continue
-                ordered = [groups[k] for k in sorted(groups)]
-                cells[ci] = ordered[0]
-                for extra in ordered[1:]:
-                    cells.append(extra)
-                    nci = len(cells) - 1
-                    for v in extra:
-                        cell_of[v] = nci
-                    queue.append(extra)
-                queue.append(ordered[0])
-        # Cell order is inherited from the split history, which depends only
-        # on positions and count values, so it is isomorphism-equivariant.
-        return cells
-
-    def invariant(self, cells) -> tuple:
-        """Isomorphism-invariant signature of an equitable ordered partition."""
-        sig = []
-        index = {}
-        for cj, cell in enumerate(cells):
-            for v in cell:
-                index[v] = cj
-        for cell in cells:
-            rep = cell[0]
-            row = [0] * len(cells)
-            for u in self.adj[rep]:
-                row[index[u]] += 1
-            sig.append((len(cell), tuple(row)))
-        return tuple(sig)
-
-
-def _leaf_perm(cells, n) -> np.ndarray:
-    """Labeling sending vertex cells[i][0] to position i."""
-    lab = np.empty(n, dtype=np.int32)
-    for pos, cell in enumerate(cells):
-        lab[cell[0]] = pos
-    return lab
-
-
-def _relabeled_edges(adj, lab) -> tuple:
-    out = []
+def _neighbour_table(adj) -> np.ndarray:
+    """One row of neighbours per vertex; ragged rows are padded with the
+    sentinel len(adj), whose colour is -1."""
+    if isinstance(adj, np.ndarray):
+        return adj
+    table = np.full((len(adj), max(map(len, adj), default=0)), len(adj))
     for u, nbrs in enumerate(adj):
-        lu = int(lab[u])
-        for v in nbrs:
-            lv = int(lab[v])
-            if lu < lv:
-                out.append((lu, lv))
-    out.sort()
-    return tuple(out)
+        table[u, : len(nbrs)] = nbrs
+    return table
+
+
+def _sorted_rows(table: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Row v: the colours of the neighbours of v, ascending."""
+    return np.sort(np.append(col, -1)[table], axis=1)
+
+
+def _refine(table: np.ndarray, col: np.ndarray, count: int):
+    """Colour refinement (1-dimensional Weisfeiler-Leman) of a colouring
+    with count colours.
+
+    Each round recolours every vertex by the rank of its row: its colour,
+    then its neighbours' colours sorted.  Rounds stop when the number of
+    colours stops growing, at the coarsest equitable partition finer than
+    col.  Ranks depend on colours alone, so relabelling the graph permutes
+    the result alike.  Returns the colouring, its number of colours and,
+    as the node invariant of the search, the distinct rows of the last
+    round as bytes.
+    """
+    while True:
+        rows = np.column_stack([col, _sorted_rows(table, col)])
+        order = np.lexsort(rows.T[::-1])
+        rows = rows[order]
+        fresh = np.any(rows[1:] != rows[:-1], axis=1)
+        col = np.empty(len(order), dtype=np.int64)
+        col[order] = np.concatenate([[0], np.cumsum(fresh)])
+        grown = 1 + int(fresh.sum())
+        if grown == count:
+            return col, count, rows[np.r_[True, fresh]].tobytes()
+        count = grown
 
 
 class _AutSearch:
-    def __init__(self, adj, deadline: float | None):
-        self.adj = adj
-        self.n = len(adj)
-        self.ref = _Refiner(adj)
+    """Backtracking search over refined colourings of a neighbour table.
+
+    A node's children individualise, one at a time, the vertices of its
+    target cell: the smallest cell of more than one vertex, the one of
+    least colour on a tie.  A leaf's colouring is discrete, so it labels
+    the vertices, and the leaf key is the graph relabelled by it.
+    """
+
+    def __init__(self, table: np.ndarray, deadline: float | None):
+        self.table = table
         self.deadline = deadline
         self.gens: list[np.ndarray] = []
-        self.first_inv: list[tuple] = []
+        self.first_inv: list[bytes] = []
         self.first_leaf = None
-        self.first_edges = None
-        self.best_inv: list[tuple] = []
+        self.first_key = None
+        self.best_inv: list[bytes] = []
         self.best_leaf = None
-        self.best_edges = None
+        self.best_key = None
 
-    def run(self):
-        cells = self.ref.refine([list(range(self.n))], [list(range(self.n))])
-        self._dfs(cells, [], [], True, "EQ")
-        return self.gens, self.best_edges
+    def run(self) -> "_AutSearch":
+        start = np.zeros(len(self.table), dtype=np.int64)
+        self._dfs(_refine(self.table, start, 1), [], [], True, "EQ")
+        return self
 
     def _tick(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise OracleLimit("automorphism search exceeded its time budget")
 
-    def _dfs(self, cells, prefix, inv_path, on_first, best_cmp):
+    def _dfs(self, node, prefix, inv_path, on_first, best_cmp):
         self._tick()
-        inv = self.ref.invariant(cells)
+        col, count, inv = node
         inv_path = inv_path + [inv]
         depth = len(inv_path) - 1
         if on_first and self.first_leaf is not None:
@@ -501,31 +466,20 @@ class _AutSearch:
                 best_cmp = "LT"
         if self.best_leaf is not None and best_cmp == "LT" and not on_first:
             return
-        target = None
-        for cell in cells:
-            if len(cell) > 1 and (target is None or len(cell) < len(target)):
-                target = cell
-        if target is None:
-            self._leaf(cells, inv_path)
+        if count == len(col):
+            self._leaf(col, inv_path)
             return
+        sizes = np.bincount(col)
+        target = np.argmin(np.where(sizes > 1, sizes, len(col) + 1))
         tried: list[int] = []
-        for v in list(target):
+        for v in np.flatnonzero(col == target).tolist():
             if self._pruned_by_orbit(v, tried, prefix):
                 continue
             tried.append(v)
-            child = self._individualize(cells, target, v)
-            self._dfs(child, prefix + [v], inv_path, on_first, best_cmp)
-
-    def _individualize(self, cells, target, v):
-        new_cells = []
-        rest = [w for w in target if w != v]
-        for cell in cells:
-            if cell is target:
-                new_cells.append([v])
-                new_cells.append(rest)
-            else:
-                new_cells.append(list(cell))
-        return self.ref.refine(new_cells, [[v]])
+            child = 2 * col
+            child[v] -= 1
+            node = _refine(self.table, child, count + 1)
+            self._dfs(node, prefix + [v], inv_path, on_first, best_cmp)
 
     def _pruned_by_orbit(self, v, tried, prefix) -> bool:
         if not tried or not self.gens:
@@ -546,77 +500,76 @@ class _AutSearch:
                     frontier.append(y)
         return False
 
-    def _leaf(self, cells, inv_path):
-        lab = _leaf_perm(cells, self.n)
-        edges = _relabeled_edges(self.adj, lab)
+    def _leaf(self, lab, inv_path):
+        key = _sorted_rows(self.table, lab)[perm_inverse(lab)].tobytes()
         if self.first_leaf is None:
             self.first_inv = list(inv_path)
             self.first_leaf = lab
-            self.first_edges = edges
+            self.first_key = key
             self.best_inv = list(inv_path)
             self.best_leaf = lab
-            self.best_edges = edges
+            self.best_key = key
             return
-        if edges == self.first_edges:
+        if key == self.first_key:
             self._record(self.first_leaf, lab)
-        key = (inv_path, list(edges))
-        best_key = (self.best_inv, list(self.best_edges))
-        if key > best_key:
+        if (inv_path, key) > (self.best_inv, self.best_key):
             self.best_inv = list(inv_path)
             self.best_leaf = lab
-            self.best_edges = edges
-        elif inv_path == self.best_inv and edges == self.best_edges:
+            self.best_key = key
+        elif inv_path == self.best_inv and key == self.best_key:
             self._record(self.best_leaf, lab)
 
     def _record(self, lab_a, lab_b):
         """Automorphism sending each vertex of labeling a to its twin in b."""
         inv_b = perm_inverse(lab_b)
         g = inv_b[lab_a]
-        if np.array_equal(g, np.arange(self.n)):
+        if np.array_equal(g, np.arange(len(g))):
             return
         for known in self.gens:
             if np.array_equal(known, g):
                 return
-        self.gens.append(g.astype(np.int32))
+        self.gens.append(g)
 
 
 DEFAULT_ORACLE_LIMIT = 256
+
+
+def _search(graph, limit: int, time_budget: float | None):
+    """The adjacency of a graph (a cover's dart_ends, or lists) and the
+    finished search over it; OracleLimit above limit vertices or once
+    time_budget seconds have passed."""
+    adj = getattr(graph, "dart_ends", graph)
+    if len(adj) > limit:
+        raise OracleLimit(
+            f"graph has {len(adj)} vertices, above the oracle limit {limit}"
+        )
+    deadline = None if time_budget is None else time.monotonic() + time_budget
+    return adj, _AutSearch(_neighbour_table(adj), deadline).run()
 
 
 def automorphism_group(
     graph, limit: int = DEFAULT_ORACLE_LIMIT, time_budget: float | None = None
 ) -> PermGroup:
     """Full automorphism group, structure-blind, via backtracking refinement."""
-    adj = graph.adjacency() if hasattr(graph, "adjacency") else graph
-    n = len(adj)
-    if n > limit:
-        raise OracleLimit(f"graph has {n} vertices, above the oracle limit {limit}")
-    deadline = None if time_budget is None else time.monotonic() + time_budget
-    gens, _ = _AutSearch(adj, deadline).run()
+    adj, search = _search(graph, limit, time_budget)
     arc_perm, _ = arc_action(adj)
-    for g in gens:
+    for g in search.gens:
         arc_perm(g)
-    return PermGroup(gens, n)
+    return PermGroup(search.gens, len(adj))
 
 
 def canonical_form(
     graph, limit: int = DEFAULT_ORACLE_LIMIT, time_budget: float | None = None
 ) -> tuple:
-    """Canonical edge list: equal for two graphs exactly when isomorphic."""
-    adj = graph.adjacency() if hasattr(graph, "adjacency") else graph
-    n = len(adj)
-    if n > limit:
-        raise OracleLimit(f"graph has {n} vertices, above the oracle limit {limit}")
-    deadline = None if time_budget is None else time.monotonic() + time_budget
-    _, edges = _AutSearch(adj, deadline).run()
-    return (n, edges)
+    """Vertex count and canonical key: equal for two graphs exactly when
+    isomorphic."""
+    adj, search = _search(graph, limit, time_budget)
+    return (len(adj), search.best_key)
 
 
 def are_isomorphic(graph_a, graph_b, limit: int = DEFAULT_ORACLE_LIMIT) -> bool:
-    adj_a = graph_a.adjacency() if hasattr(graph_a, "adjacency") else graph_a
-    adj_b = graph_b.adjacency() if hasattr(graph_b, "adjacency") else graph_b
-    if len(adj_a) != len(adj_b):
-        return False
+    adj_a = getattr(graph_a, "dart_ends", graph_a)
+    adj_b = getattr(graph_b, "dart_ends", graph_b)
     if sorted(map(len, adj_a)) != sorted(map(len, adj_b)):
         return False
     return canonical_form(adj_a, limit) == canonical_form(adj_b, limit)

@@ -114,6 +114,15 @@ def test_jsonl_roundtrip():
     assert parsed[0]["g"] == [1] and parsed[0]["lifted_order"] == 16464
 
 
+def test_time_budget_skips_every_search_without_mismatch():
+    rows = census_rows([3], [3], (0, 1), verify="aut", time_budget=1e-9)
+    assert rows
+    for row in rows:
+        assert row.verified_order is not None and row.aut_order is None
+        assert "time budget" in row.skipped
+        assert row.mismatch is None
+
+
 def test_census_rejects_bad_arguments():
     with pytest.raises(ValueError):
         census_rows([7], [3], (0,), verify="everything")
@@ -132,6 +141,12 @@ def test_census_rejects_bad_arguments():
         (["--p", "3", "--n", "2", "--verify", "lifts"], "n=2 is below 3"),
         (["--p", "3", "--n", "3..2"], "at least one p and one n"),
         (["--p", "3", "--n", "3", "--out", "missing/rows.tsv"], "No such file"),
+        (["--p", "3", "--n", "3", "--max-order", "-5"], "--max-order: -5 is not above 0"),
+        (["--p", "3", "--n", "3", "--aut-limit", "0"], "--aut-limit: 0 is not above 0"),
+        (["--p", "3", "--n", "3", "--jobs", "0"], "--jobs: 0 is not above 0"),
+        (["--p", "3", "--n", "3", "--time-budget", "-1"], "--time-budget: -1 is not above 0"),
+        (["--p", "3", "--n", "3", "--time-budget", "0"], "--time-budget: 0 is not above 0"),
+        (["--p", "3", "--n", "3", "--max-order", "x"], "invalid int value: 'x'"),
     ],
 )
 def test_cli_reports_bad_sweeps_without_traceback(

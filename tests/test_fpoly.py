@@ -145,6 +145,21 @@ def test_factor_sweep_reconstructs_and_is_irreducible():
         assert len(set(polys)) == len(polys)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_factors_match_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for n in range(3, 17):
+        for eps in (0, 1):
+            _, factors = sympy.Poly(x**n - (-1) ** eps, x, modulus=p).factor_list()
+            want = sorted(
+                (tuple(int(c) % p for c in reversed(f.all_coeffs())), m)
+                for f, m in factors
+            )
+            got = sorted((f.coeffs, m) for f, m in factor_code_modulus(n, eps, p))
+            assert got == want, (p, n, eps)
+
+
 def test_divisor_lattice_length3():
     divs = modulus_divisors(3, 0, 7)
     assert [d.coeffs for d in divs] == [

@@ -21,7 +21,7 @@ from dccover.permgrp import (
     transitivity_profile,
 )
 from dccover.cover import build_cover
-from dccover.fpoly import modulus_divisors
+from dccover.fpoly import FpPoly, modulus_divisors
 from dccover.lift import lifted_generators, lifting_report
 from dccover.reflex import divisor_info
 
@@ -360,6 +360,43 @@ def test_oracle_limit_is_enforced():
         automorphism_group(cycle_adj(10), limit=9)
     with pytest.raises(OracleLimit):
         canonical_form(cycle_adj(10), limit=9)
+
+
+def test_time_budget_stops_the_search():
+    cov = build_cover(FpPoly(7, (5, 1)), 3, 0)
+    with pytest.raises(OracleLimit, match="time budget"):
+        automorphism_group(cov, time_budget=1e-9)
+    with pytest.raises(OracleLimit, match="time budget"):
+        canonical_form(cov, time_budget=1e-9)
+
+
+def test_canonical_form_agrees_on_table_lists_and_relabelling():
+    cov = build_cover(FpPoly(7, (5, 1)), 3, 0)
+    adj = cov.adjacency()
+    lab = np.random.default_rng(0).permutation(len(adj))
+    relab = [[] for _ in adj]
+    for u, nbrs in enumerate(adj):
+        relab[lab[u]] = [int(lab[v]) for v in nbrs]
+    assert canonical_form(cov) == canonical_form(adj) == canonical_form(relab)
+
+
+def test_aut_order_matches_networkx_on_small_covers():
+    # VF2++ rather than GraphMatcher, which takes several times longer to
+    # count the 20,480 automorphisms of each 20-vertex cover over Z_5.
+    nx = pytest.importorskip("networkx")
+    checked = 0
+    for p in (3, 5, 7):
+        for n in range(3, 9):
+            for eps in (0, 1):
+                for g in modulus_divisors(n, eps, p):
+                    if n * p ** divisor_info(g, n, eps).fiber_dim > 21:
+                        continue
+                    cov = build_cover(g, n, eps)
+                    graph = nx.Graph(cov.edges())
+                    want = sum(1 for _ in nx.vf2pp_all_isomorphisms(graph, graph))
+                    assert automorphism_group(cov).order() == want, (p, n, eps, g.coeffs)
+                    checked += 1
+    assert checked > 20
 
 
 def test_aut_generators_are_verified_automorphisms():
