@@ -16,7 +16,7 @@ import numpy as np
 
 from .dcycle import dart_at
 from .fpoly import FpPoly, code_modulus, is_odd_prime, poly_x
-from .permgrp import NotAnAutomorphism, PermGroup, arc_action, reach
+from .permgrp import NotAnAutomorphism, PermGroup, arc_action, orbit_labels
 
 
 class NonSimpleCover(ValueError):
@@ -137,32 +137,16 @@ class CoverGraph:
         value = sum(int(x) % self.p * self.p**i for i, x in enumerate(fiber))
         return (layer % self.n) * self.fiber_size + value
 
-    def vertex_of(self, vid: int) -> tuple[tuple[int, ...], int]:
-        layer, value = divmod(vid, self.fiber_size)
-        return tuple(value // self.p**i % self.p for i in range(self.r)), layer
-
     def layer(self, vid: int) -> int:
         return vid // self.fiber_size
 
     # -- dart structure ---------------------------------------------------------
 
-    def dart_end(self, vid: int, t: int) -> int:
-        """End vertex of the dart of track t at vid."""
-        if not 0 <= t < 4:
-            raise ValueError(f"track {t} out of range")
-        return int(self.dart_ends[vid, t])
-
     def base_dart(self, vid: int, t: int) -> int:
         """Dart of the doubled cycle under the covering projection."""
         return dart_at(self.n, vid // self.fiber_size, t)
 
-    def dart_inverse_track(self, t: int) -> int:
-        return t ^ 2
-
     # -- graph views -----------------------------------------------------------
-
-    def neighbors(self, vid: int) -> list[int]:
-        return self.dart_ends[vid].tolist()
 
     def adjacency(self) -> list[list[int]]:
         return self.dart_ends.tolist()
@@ -180,7 +164,7 @@ class CoverGraph:
         return [(layers + shift).ravel().tolist() for shift in shifts]
 
     def is_connected(self) -> bool:
-        return bool(reach(self.dart_ends, 0).all())
+        return not orbit_labels(self.dart_ends).any()
 
     def group_order_bound(self, perms) -> int | None:
         """Upper bound on the order of the group the vertex permutations generate.

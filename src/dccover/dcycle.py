@@ -160,9 +160,6 @@ class DCAut:
         shift = self.shift if self.reflect else -self.shift
         return DCAut(n, mask, self.reflect, shift)
 
-    def is_identity(self) -> bool:
-        return self.swaps == 0 and self.reflect == 0 and self.shift == 0
-
     # actions
 
     def vertex_image(self, v: int) -> int:

@@ -143,12 +143,6 @@ class FpPoly:
             raise ValueError("zero polynomial cannot be made monic")
         return self * pow(self.leading, self.p - 2, self.p)
 
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for a in reversed(self.coeffs):
-            acc = (acc * x + a) % self.p
-        return acc
-
     def expand(self, d: int) -> FpPoly:
         """Return f(x^d)."""
         if d < 1:

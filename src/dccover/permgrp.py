@@ -9,7 +9,7 @@ plain lists are accepted everywhere.
 from __future__ import annotations
 
 import time
-from math import lcm, prod
+from math import prod
 
 import numpy as np
 
@@ -46,37 +46,29 @@ def perm_inverse(p: np.ndarray) -> np.ndarray:
     return inv
 
 
-def reach(table: np.ndarray, start: int) -> np.ndarray:
-    """Mask of the points reached from start, row x of the table listing
-    the points one step from x; breadth-first with a boolean frontier."""
-    seen = np.zeros(len(table), dtype=bool)
-    seen[start] = True
-    frontier = np.array([start])
-    while len(frontier):
-        reached = np.zeros(len(table), dtype=bool)
-        reached[table[frontier]] = True
-        reached &= ~seen
-        seen |= reached
-        frontier = np.flatnonzero(reached)
-    return seen
+def orbit_labels(table: np.ndarray) -> np.ndarray:
+    """The least point of each point's component.
+
+    Row x of the table lists the points one step from x, and the table must
+    be closed under reversal.  Each round lowers the labels of x and of the
+    point x's label names to the least label next to x (the second, hooking,
+    keeps a randomly numbered cycle from taking a round per step), then
+    shortcuts label = label[label], until no label changes.
+    """
+    label = np.arange(len(table))
+    while True:
+        low = np.minimum(label, label[table].min(axis=1, initial=len(table)))
+        np.minimum.at(low, label, low)
+        low = low[low]
+        if np.array_equal(low, label):
+            return label
+        label = low
 
 
-def perm_order(p: np.ndarray) -> int:
-    """Order of the permutation: lcm of cycle lengths."""
-    n = len(p)
-    seen = np.zeros(n, dtype=bool)
-    out = 1
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = int(p[x])
-            length += 1
-        out = lcm(out, length)
-    return out
+def _generator_labels(gens, degree: int) -> np.ndarray:
+    """Orbit labels of the group generated by the permutations."""
+    images = np.array([*gens, *map(perm_inverse, gens)], dtype=np.int32)
+    return orbit_labels(images.reshape(len(images), degree).T)
 
 
 _UNSEEN = -1
@@ -185,19 +177,15 @@ class PermGroup:
         """Orbit of a point, ascending."""
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range")
-        images = np.array(self.gens, dtype=np.int32).reshape(-1, self.degree)
-        return np.flatnonzero(reach(images.T, point)).tolist()
+        label = _generator_labels(self.gens, self.degree)
+        return np.flatnonzero(label == label[point]).tolist()
 
     def orbits(self) -> list[list[int]]:
         """All orbits, each ascending, ordered by smallest element."""
-        out = []
-        left = np.ones(self.degree, dtype=bool)
-        while left.any():
-            start = int(np.argmax(left))
-            orb = self.orbit(start)
-            out.append(orb)
-            left[orb] = False
-        return out
+        label = _generator_labels(self.gens, self.degree)
+        points = np.argsort(label, kind="stable")
+        starts = np.flatnonzero(label[points] == points)
+        return [orb.tolist() for orb in np.split(points, starts)[1:]]
 
     def order(self) -> int:
         self._build()
@@ -359,9 +347,14 @@ def transitivity_profile(group, graph) -> dict:
     adj = getattr(graph, "dart_ends", graph)
     arc_perm, reversal = arc_action(adj)
     arc_gens = [arc_perm(g) for g in gens]
-    v_orbits = len(PermGroup(gens, len(adj)).orbits())
-    e_orbits = len(PermGroup(arc_gens + [reversal], len(reversal)).orbits())
-    a_orbits = len(PermGroup(arc_gens, len(reversal)).orbits())
+
+    def count(perms, degree):
+        label = _generator_labels(perms, degree)
+        return int(np.count_nonzero(label == np.arange(degree)))
+
+    v_orbits = count(gens, len(adj))
+    e_orbits = count(arc_gens + [reversal], len(reversal))
+    a_orbits = count(arc_gens, len(reversal))
     return {
         "vertex_orbits": v_orbits,
         "edge_orbits": e_orbits,
@@ -411,12 +404,12 @@ def _refine(table: np.ndarray, col: np.ndarray, count: int):
         rows = np.column_stack([col, _sorted_rows(table, col)])
         order = np.lexsort(rows.T[::-1])
         rows = rows[order]
-        fresh = np.any(rows[1:] != rows[:-1], axis=1)
+        fresh = np.concatenate([[True], np.any(rows[1:] != rows[:-1], axis=1)])[: len(rows)]
         col = np.empty(len(order), dtype=np.int64)
-        col[order] = np.concatenate([[0], np.cumsum(fresh)])
-        grown = 1 + int(fresh.sum())
+        col[order] = np.cumsum(fresh) - 1
+        grown = int(fresh.sum())
         if grown == count:
-            return col, count, rows[np.r_[True, fresh]].tobytes()
+            return col, count, rows[fresh].tobytes()
         count = grown
 
 
@@ -472,33 +465,22 @@ class _AutSearch:
         sizes = np.bincount(col)
         target = np.argmin(np.where(sizes > 1, sizes, len(col) + 1))
         tried: list[int] = []
+        labelled = None
         for v in np.flatnonzero(col == target).tolist():
-            if self._pruned_by_orbit(v, tried, prefix):
-                continue
+            # Orbit pruning: skip v in the orbit of a tried vertex under the
+            # automorphisms found so far that fix the prefix pointwise.
+            if tried:
+                if labelled != len(self.gens):
+                    labelled = len(self.gens)
+                    fixed = [g for g in self.gens if np.array_equal(g[prefix], prefix)]
+                    label = _generator_labels(fixed, len(col))
+                if label[v] in label[tried]:
+                    continue
             tried.append(v)
             child = 2 * col
             child[v] -= 1
             node = _refine(self.table, child, count + 1)
             self._dfs(node, prefix + [v], inv_path, on_first, best_cmp)
-
-    def _pruned_by_orbit(self, v, tried, prefix) -> bool:
-        if not tried or not self.gens:
-            return False
-        fixed = [g for g in self.gens if all(int(g[x]) == x for x in prefix)]
-        if not fixed:
-            return False
-        seen = set(tried)
-        frontier = list(tried)
-        while frontier:
-            x = frontier.pop()
-            for g in fixed:
-                y = int(g[x])
-                if y == v:
-                    return True
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return False
 
     def _leaf(self, lab, inv_path):
         key = _sorted_rows(self.table, lab)[perm_inverse(lab)].tobytes()
@@ -555,7 +537,9 @@ def automorphism_group(
     arc_perm, _ = arc_action(adj)
     for g in search.gens:
         arc_perm(g)
-    return PermGroup(search.gens, len(adj))
+    # A cover proves an upper bound on the order of the group found, or None.
+    bound_of = getattr(graph, "group_order_bound", lambda gens: None)
+    return PermGroup(search.gens, len(adj), upper_bound=bound_of(search.gens))
 
 
 def canonical_form(

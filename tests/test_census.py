@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -253,6 +254,32 @@ def test_traced_layers_are_looked_up_through_census():
             looked_up |= set(value.__code__.co_names)
     assert names <= looked_up, names - looked_up
     assert all(hasattr(census_mod, name) for name in names)
+
+
+def load_bench_runner(monkeypatch):
+    """perfbench/run.py, with perfbench/ on sys.path for its own imports."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+    runner = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, runner)
+    spec.loader.exec_module(runner)
+    return runner
+
+
+@pytest.mark.parametrize(
+    "workload", ["classify", "verify-orbits", "large-cover", "aut-oracle"]
+)
+def test_bench_sweeps_match_their_reference_rows(workload, monkeypatch, tmp_path):
+    # The rows that perfbench checks every benchmark launch against, rerun
+    # in-process, so a change of output shows in the tests and not only in
+    # a failed benchmark.
+    runner = load_bench_runner(monkeypatch)
+    out = tmp_path / "rows.tsv"
+    assert main(["census", *runner.census_args(workload, "bench"), "--out", str(out)]) == 0
+    reference = runner.load_reference(runner.reference_path(workload, "bench"))
+    assert runner.project(out.read_text()) == reference
 
 
 def test_cli_exit_code_on_mismatch(monkeypatch, tmp_path):

@@ -1,5 +1,6 @@
 """Tests for cover graphs built from banded generator matrices."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -88,27 +89,27 @@ def test_worked_example_orders():
 def test_explicit_neighbors_in_the_sextic_cover():
     cov = build_cover(SEXTIC5, 8, 0)
     # Vertex (0, 0): forward by column 0 = (3, 0), back by column 7 = (0, 1).
-    assert cov.neighbors(0) == [28, 27, 195, 180]
+    assert cov.dart_ends[0].tolist() == [28, 27, 195, 180]
     assert cov.vertex_id((3, 0), 1) == 28
-    assert cov.vertex_of(195) == ((0, 4), 7)
+    assert cov.vertex_id((0, 4), 7) == 195
 
 
 def test_vertex_roundtrip_and_layers():
     cov = build_cover(SEXTIC5, 8, 0)
-    for vid in (0, 7, 63, 199):
-        fiber, layer = cov.vertex_of(vid)
-        assert cov.vertex_id(fiber, layer) == vid
-        assert cov.layer(vid) == layer
+    # Little-endian fiber digits, so the first digit varies fastest.
+    fibers = [f[::-1] for f in itertools.product(range(cov.p), repeat=cov.r)]
+    ids = [cov.vertex_id(fiber, layer) for layer in range(cov.n) for fiber in fibers]
+    assert ids == list(range(cov.order))
+    assert [cov.layer(vid) for vid in ids] == [layer for layer in range(cov.n) for _ in fibers]
     with pytest.raises(ValueError):
         cov.vertex_id((1,), 0)
 
 
 def test_dart_tracks_invert_each_other():
     cov = build_cover(QUINTIC3, 8, 0)
-    for vid in range(0, cov.order, 17):
-        for t in range(4):
-            w = cov.dart_end(vid, t)
-            assert cov.dart_end(w, cov.dart_inverse_track(t)) == vid
+    ends = cov.dart_ends
+    # Track t at u ends at w, and track t ^ 2 at w leads back to u.
+    assert (ends[ends, [2, 3, 0, 1]] == np.arange(cov.order)[:, None]).all()
 
 
 def test_darts_project_onto_base_darts():
@@ -153,6 +154,28 @@ def test_cover_invariants_across_divisors(case):
     for u in range(0, cov.order, max(1, cov.order // 40)):
         for v in adj[u]:
             assert u in adj[v]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda r: st.lists(
+            st.lists(st.integers(0, 2), min_size=r, max_size=r).filter(any),
+            min_size=3,
+            max_size=6,
+        )
+    )
+)
+def test_is_connected_matches_plain_closure(columns):
+    cov = CoverGraph(GeneratorMatrix(3, tuple(zip(*columns))))
+    adj = cov.adjacency()
+    seen, frontier = {0}, [0]
+    while frontier:
+        for v in adj[frontier.pop()]:
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    assert cov.is_connected() == (len(seen) == cov.order)
 
 
 def test_translations_are_regular_deck_transformations():

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dccover.permgrp import (
     NotAnAutomorphism,
@@ -14,10 +14,10 @@ from dccover.permgrp import (
     as_perm,
     automorphism_group,
     canonical_form,
+    orbit_labels,
     perm_identity,
     perm_inverse,
     perm_mult,
-    perm_order,
     transitivity_profile,
 )
 from dccover.cover import build_cover
@@ -94,24 +94,6 @@ def test_inverse_cancels(p):
     assert np.array_equal(perm_mult(perm_inverse(arr), arr), ident)
 
 
-def test_perm_order_examples():
-    assert perm_order(as_perm([0, 1, 2])) == 1
-    assert perm_order(as_perm([1, 0, 2])) == 2
-    assert perm_order(as_perm([1, 2, 0, 4, 3])) == 6
-
-
-@given(perm_strategy)
-def test_perm_order_is_minimal_exponent(p):
-    arr = as_perm(p)
-    k = perm_order(arr)
-    acc = perm_identity(len(p))
-    for i in range(1, k):
-        acc = perm_mult(acc, arr)
-        assert not np.array_equal(acc, perm_identity(len(p)))
-    acc = perm_mult(acc, arr)
-    assert np.array_equal(acc, perm_identity(len(p)))
-
-
 # -- stabilizer chain ---------------------------------------------------------
 
 
@@ -166,6 +148,67 @@ def test_orbits_partition():
     G = PermGroup([[1, 0, 2, 4, 3, 5]])
     assert G.orbits() == [[0, 1], [2], [3, 4], [5]]
     assert G.orbit(4) == [3, 4]
+
+
+def closure_orbits(gens, degree):
+    """Orbits by plain set closure, each ascending, ordered by least point."""
+    left = set(range(degree))
+    out = []
+    while left:
+        orbit = {min(left)}
+        frontier = list(orbit)
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = int(g[x])
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        left -= orbit
+        out.append(sorted(orbit))
+    return out
+
+
+def check_orbits(gens, degree):
+    want = closure_orbits(gens, degree)
+    G = PermGroup(gens, degree)
+    assert G.orbits() == want
+    for orbit in want:
+        assert G.orbit(orbit[-1]) == orbit
+    # The orbit labels of the generators and their inverses as columns.
+    images = [as_perm(g) for g in gens]
+    images += [perm_inverse(g) for g in images]
+    table = np.array(images, dtype=np.int32).reshape(len(images), degree).T
+    least = np.zeros(degree, dtype=int)
+    for orbit in want:
+        least[orbit] = orbit[0]
+    assert orbit_labels(table).tolist() == least.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 40).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.permutations(list(range(n))), max_size=3), st.just(n)
+        )
+    )
+)
+@example(([], 0))
+@example(([], 5))
+def test_orbits_match_plain_closure(case):
+    check_orbits(*case)
+
+
+@pytest.mark.parametrize("numbering", ["in order", "random"])
+def test_orbits_of_one_long_cycle(numbering):
+    # A single 20,000-cycle: one orbit, however its points are numbered.
+    n = 20_000
+    points = np.arange(n)
+    if numbering == "random":
+        points = np.random.default_rng(0).permutation(n)
+    cycle = np.empty(n, dtype=np.int32)
+    cycle[points] = np.roll(points, -1)
+    check_orbits([cycle], n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -397,6 +440,35 @@ def test_aut_order_matches_networkx_on_small_covers():
                     assert automorphism_group(cov).order() == want, (p, n, eps, g.coeffs)
                     checked += 1
     assert checked > 20
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: automorphism_group([]).order(), 1),
+        (lambda: canonical_form([]), (0, b"")),
+        (lambda: are_isomorphic([], []), True),
+    ],
+)
+def test_oracle_on_the_graph_without_vertices(call, expected):
+    assert call() == expected
+
+
+def test_bounded_aut_order_matches_the_unbounded_closure():
+    checked = bounded = 0
+    for p in (3, 5, 7):
+        for n in range(3, 6):
+            for eps in (0, 1):
+                for g in modulus_divisors(n, eps, p):
+                    if n * p ** divisor_info(g, n, eps).fiber_dim > 500:
+                        continue
+                    aut = automorphism_group(build_cover(g, n, eps), limit=500)
+                    want = PermGroup(aut.gens).order()
+                    assert aut.order() == want, (p, n, eps, g.coeffs)
+                    checked += 1
+                    bounded += aut.upper_bound is not None
+    # Both paths run: covers whose Aut moves the fibers have no bound.
+    assert 0 < bounded < checked
 
 
 def test_aut_generators_are_verified_automorphisms():
