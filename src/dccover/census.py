@@ -15,7 +15,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 from .cover import CoverGraph, build_cover
 from .fpoly import FpPoly, is_odd_prime, modulus_divisors
@@ -161,26 +161,7 @@ def census_rows(
 
 # -- serialization ---------------------------------------------------------------
 
-_COLUMNS = (
-    "p",
-    "n",
-    "eps",
-    "g",
-    "step",
-    "fiber_dim",
-    "weakly_reflexible",
-    "maximal_weakly_reflexible",
-    "order",
-    "symmetry",
-    "base_order",
-    "lifted_order",
-    "minimal",
-    "verified_order",
-    "arc_orbits",
-    "aut_order",
-    "skipped",
-    "mismatch",
-)
+_COLUMNS = tuple(f.name for f in fields(CensusRow))
 
 
 def _cell(value) -> str:
@@ -198,13 +179,13 @@ def _cell(value) -> str:
 def write_tsv(rows, stream) -> None:
     stream.write("\t".join(_COLUMNS) + "\n")
     for row in rows:
-        data = asdict(row)
-        stream.write("\t".join(_cell(data[c]) for c in _COLUMNS) + "\n")
+        stream.write("\t".join(_cell(getattr(row, c)) for c in _COLUMNS) + "\n")
 
 
 def write_jsonl(rows, stream) -> None:
     for row in rows:
-        stream.write(json.dumps(asdict(row), sort_keys=True) + "\n")
+        data = {c: getattr(row, c) for c in _COLUMNS}
+        stream.write(json.dumps(data, sort_keys=True) + "\n")
 
 
 def export_graph(cover: CoverGraph, stream, voltages: bool = False) -> None:

@@ -7,7 +7,6 @@ arithmetic, no floating point anywhere.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -289,13 +288,16 @@ def divisor_exponents(n: int, eps: int, p: int) -> MappingProxyType:
     """
     factors = factor_code_modulus(n, eps, p)
     full = tuple(m for _, m in factors)
-    table = {}
-    for exps in itertools.product(*[range(m + 1) for m in full]):
-        d = poly_one(p)
-        for (f, _), e in zip(factors, exps):
-            for _ in range(e):
-                d = d * f
-        table[d] = exps
+    # Slot by slot, each divisor is its neighbour in the slot times f.
+    table = {poly_one(p): ()}
+    for f, m in factors:
+        grown = {}
+        for d, exps in table.items():
+            for e in range(m + 1):
+                if e:
+                    d = d * f
+                grown[d] = exps + (e,)
+        table = grown
     if table.pop(code_modulus(n, eps, p), None) != full:
         raise AssertionError("the factors do not multiply to the modulus")
     if len(table) != prod(m + 1 for m in full) - 1:

@@ -173,20 +173,6 @@ class PermGroup:
         self.upper_bound = upper_bound
         self._levels: list[_Level] | None = None
 
-    def orbit(self, point: int) -> list[int]:
-        """Orbit of a point, ascending."""
-        if not 0 <= point < self.degree:
-            raise ValueError(f"point {point} out of range")
-        label = _generator_labels(self.gens, self.degree)
-        return np.flatnonzero(label == label[point]).tolist()
-
-    def orbits(self) -> list[list[int]]:
-        """All orbits, each ascending, ordered by smallest element."""
-        label = _generator_labels(self.gens, self.degree)
-        points = np.argsort(label, kind="stable")
-        starts = np.flatnonzero(label[points] == points)
-        return [orb.tolist() for orb in np.split(points, starts)[1:]]
-
     def order(self) -> int:
         self._build()
         return self._chain_order()

@@ -9,8 +9,15 @@ a_0 / a_m by the i = 0 equation, so classification is a single pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .fpoly import FpPoly, compress, divisor_exponents, support_gcd
+from .fpoly import (
+    FpPoly,
+    compress,
+    divisor_exponents,
+    factor_code_modulus,
+    support_gcd,
+)
 
 
 @dataclass(frozen=True)
@@ -62,37 +69,57 @@ def is_weakly_reflexible(g: FpPoly, n: int) -> bool:
     return reflexibility_of(core) is not None
 
 
-def _require_divisor(g: FpPoly, n: int, eps: int) -> tuple[int, ...]:
-    """The exponent vector of g; ValueError unless g is a monic proper divisor."""
-    exps = divisor_exponents(n, eps, g.p).get(g)
-    if exps is None:
+@lru_cache(maxsize=None)
+def _lattice(n: int, eps: int, p: int) -> dict[FpPoly, tuple[bool, bool]]:
+    """Each proper divisor of the modulus mapped to (maximal, wr_above).
+
+    maximal: the exponent vector is one unit short of the modulus's in
+    total, so the cofactor is irreducible and no proper divisor lies above.
+    wr_above: some weakly reflexible proper divisor lies strictly above.
+    Divisors are walked in descending degree, so the covers of g (g with one
+    exponent raised by one) are done before g, and wr_above(g) holds when a
+    cover other than the modulus is weakly reflexible or has wr_above.
+    """
+    exponents = divisor_exponents(n, eps, p)
+    full = tuple(m for _, m in factor_code_modulus(n, eps, p))
+    top = sum(full) - 1
+    wr_or_above = {}
+    table = {}
+    for g in reversed(exponents):
+        exps = exponents[g]
+        covers = (
+            exps[:i] + (e + 1,) + exps[i + 1 :]
+            for i, e in enumerate(exps)
+            if e < full[i]
+        )
+        above = any(wr_or_above[c] for c in covers if c != full)
+        table[g] = (sum(exps) == top, above)
+        wr_or_above[exps] = above or is_weakly_reflexible(g, n)
+    return table
+
+
+def _require_divisor(g: FpPoly, n: int, eps: int) -> tuple[bool, bool]:
+    """The lattice flags of g; ValueError unless g is a monic proper divisor."""
+    flags = _lattice(n, eps, g.p).get(g)
+    if flags is None:
         raise ValueError(
             f"{g.to_text()!r} is not a monic proper divisor of the length-{n} modulus"
         )
-    return exps
-
-
-def _divisors_above(g: FpPoly, n: int, eps: int) -> list[FpPoly]:
-    """The proper divisors of the modulus strictly above g."""
-    low = _require_divisor(g, n, eps)
-    return [
-        q
-        for q, exps in divisor_exponents(n, eps, g.p).items()
-        if exps != low and all(a >= b for a, b in zip(exps, low))
-    ]
+    return flags
 
 
 def is_maximal_divisor(g: FpPoly, n: int, eps: int) -> bool:
     """True when no proper divisor of the modulus lies strictly above g."""
-    return not _divisors_above(g, n, eps)
+    maximal, _ = _require_divisor(g, n, eps)
+    return maximal
 
 
 def is_maximal_weakly_reflexible(g: FpPoly, n: int, eps: int) -> bool:
     """True when no weakly reflexible proper divisor lies strictly above g."""
-    above = _divisors_above(g, n, eps)
+    _, wr_above = _require_divisor(g, n, eps)
     if not is_weakly_reflexible(g, n):
         raise ValueError(f"{g.to_text()!r} is not weakly reflexible")
-    return not any(is_weakly_reflexible(q, n) for q in above)
+    return not wr_above
 
 
 @dataclass(frozen=True)

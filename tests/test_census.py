@@ -269,16 +269,22 @@ def load_bench_runner(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "workload", ["classify", "verify-orbits", "large-cover", "aut-oracle"]
+    "workload, size",
+    [
+        pytest.param(w, "bench", id=w)
+        for w in ("classify", "verify-orbits", "large-cover", "aut-oracle")
+    ]
+    + [pytest.param("classify", "full", id="classify-full")],
 )
-def test_bench_sweeps_match_their_reference_rows(workload, monkeypatch, tmp_path):
+def test_bench_sweeps_match_their_reference_rows(workload, size, monkeypatch, tmp_path):
     # The rows that perfbench checks every benchmark launch against, rerun
     # in-process, so a change of output shows in the tests and not only in
-    # a failed benchmark.
+    # a failed benchmark.  The full classify sweep (2,948 rows) is cheap
+    # enough to gate here too.
     runner = load_bench_runner(monkeypatch)
     out = tmp_path / "rows.tsv"
-    assert main(["census", *runner.census_args(workload, "bench"), "--out", str(out)]) == 0
-    reference = runner.load_reference(runner.reference_path(workload, "bench"))
+    assert main(["census", *runner.census_args(workload, size), "--out", str(out)]) == 0
+    reference = runner.load_reference(runner.reference_path(workload, size))
     assert runner.project(out.read_text()) == reference
 
 

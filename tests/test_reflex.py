@@ -7,6 +7,7 @@ import pytest
 from dccover.fpoly import (
     FpPoly,
     code_modulus,
+    divisor_exponents,
     modulus_divisors,
     poly_one,
     factor_code_modulus,
@@ -178,6 +179,56 @@ def test_maximal_weakly_reflexible_examples():
     assert not is_maximal_weakly_reflexible(poly_one(7), 3, 0)
     with pytest.raises(ValueError):
         is_maximal_weakly_reflexible(FpPoly(7, (5, 1)), 3, 0)
+
+
+def divisors_above_by_scan(g, n, eps):
+    """Reference: the proper divisors strictly above g, found by comparing
+    g's exponent vector with every divisor's, O(D^2) over a lattice of D."""
+    table = divisor_exponents(n, eps, g.p)
+    low = table[g]
+    return [
+        q
+        for q, exps in table.items()
+        if exps != low and all(a >= b for a, b in zip(exps, low))
+    ]
+
+
+def check_against_scan(g, n, eps):
+    above = divisors_above_by_scan(g, n, eps)
+    assert is_maximal_divisor(g, n, eps) == (not above)
+    if is_weakly_reflexible(g, n):
+        wr_above = any(is_weakly_reflexible(q, n) for q in above)
+        assert is_maximal_weakly_reflexible(g, n, eps) == (not wr_above)
+    else:
+        with pytest.raises(ValueError, match="not weakly reflexible"):
+            is_maximal_weakly_reflexible(g, n, eps)
+
+
+def test_maximality_matches_a_scan_of_exponent_vectors():
+    # Every divisor of the sweep, and every core at length n / step that
+    # is_minimal_cover asks about.
+    cores = 0
+    for n, eps, p in SWEEP:
+        for g in modulus_divisors(n, eps, p):
+            check_against_scan(g, n, eps)
+            info = divisor_info(g, n, eps)
+            if info.step > 1:
+                check_against_scan(info.core, n // info.step, eps)
+                cores += 1
+    assert cores > 0
+
+
+def test_non_divisor_raises_before_non_weakly_reflexible():
+    # Over Z_7, x + 2 does not divide x^3 - 1 and x + 3 does not divide
+    # x^3 + 1.  Neither is weakly reflexible: the divisor check speaks first.
+    for coeffs, eps in (((2, 1), 0), ((3, 1), 1)):
+        g = FpPoly(7, coeffs)
+        assert not is_weakly_reflexible(g, 3)
+        assert g not in modulus_divisors(3, eps, 7)
+        with pytest.raises(ValueError, match="not a monic proper divisor"):
+            is_maximal_weakly_reflexible(g, 3, eps)
+    with pytest.raises(ValueError, match="not a monic proper divisor"):
+        is_maximal_weakly_reflexible(code_modulus(3, 0, 7), 3, 0)
 
 
 def test_divisor_info_table_length3():
