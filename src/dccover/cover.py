@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dcycle import dart_at
-from .fpoly import FpPoly, code_modulus, is_odd_prime, poly_x
+from .fpoly import FpPoly, code_modulus, is_odd_prime
 from .permgrp import NotAnAutomorphism, PermGroup, arc_action, orbit_labels
 
 

@@ -1,12 +1,11 @@
 """Lifting doubled-cycle automorphisms to cover graphs.
 
-An automorphism of the doubled cycle lifts to a cover exactly when its
-action on first homology mod p preserves the kernel of the voltage map,
-and that kernel is the annihilator of the row space of the generator
-matrix.  The decision therefore reduces to invariance of the row space
-under the transposed homology block.  lift_by_propagation makes the same
-decision combinatorially and returns the lifted vertex permutation when
-it exists.
+An automorphism of the doubled cycle lifts to the cover of a divisor g of
+x^n - (-1)^eps exactly when its signed permutation of coordinates maps the
+code <g> in Z_p[x]/(x^n - (-1)^eps) into itself.  Membership is the
+check-polynomial test: y lies in <g> exactly when y * h vanishes in the ring,
+with h = (x^n - (-1)^eps) / g.  lift_by_propagation makes the same decision
+combinatorially and returns the lifted vertex permutation when it exists.
 """
 
 from __future__ import annotations
@@ -18,75 +17,67 @@ import numpy as np
 
 from .cover import CoverGraph, GeneratorMatrix
 from .dcycle import DCAut, dart_at, dart_track, span_basis, subgroup_from_case
-from .reflex import DivisorInfo, is_maximal_divisor, is_maximal_weakly_reflexible
+from .fpoly import FpPoly, code_modulus
+from .reflex import (
+    DivisorInfo,
+    _require_divisor,
+    is_maximal_divisor,
+    is_maximal_weakly_reflexible,
+)
 
-# -- the row-space criterion ---------------------------------------------------
-
-
-def _reduce(vec, pivots, rows, p):
-    out = list(vec)
-    for piv, row in zip(pivots, rows):
-        c = out[piv] % p
-        if c:
-            out = [(a - c * b) % p for a, b in zip(out, row)]
-    return out
+# -- the check-polynomial criterion --------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _row_space(matrix: GeneratorMatrix):
-    """Pivot columns and reduced echelon basis of the matrix row space."""
-    p = matrix.p
-    pivots: list[int] = []
-    rows: list[list[int]] = []
-    for raw in matrix.rows:
-        vec = _reduce(raw, pivots, rows, p)
-        lead = next((i for i, a in enumerate(vec) if a), None)
-        if lead is None:
-            continue
-        inv = pow(vec[lead], p - 2, p)
-        vec = [a * inv % p for a in vec]
-        for other in rows:
-            c = other[lead]
-            if c:
-                other[:] = [(a - c * b) % p for a, b in zip(other, vec)]
-        at = next((k for k, piv in enumerate(pivots) if piv > lead), len(pivots))
-        pivots.insert(at, lead)
-        rows.insert(at, vec)
-    return tuple(pivots), tuple(tuple(row) for row in rows)
+@lru_cache(maxsize=1)
+def _code_tables(g: FpPoly, n: int, eps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis words x^i * g and the n x n check table of the code <g>.
+
+    Row j of the check table holds x^j * h reduced mod x^n - (-1)^eps, so a
+    word y lies in <g> exactly when y @ table vanishes mod p.  For g = 1, h is
+    the modulus itself and x^j, x^(j+n) land in one column, so the terms are
+    accumulated rather than assigned.  Callers ask about one divisor many
+    times in a row and then move on, so only the last divisor's tables are
+    kept: a census would otherwise hold the tables of every row it emits.
+    """
+    _require_divisor(g, n, eps)
+    h = code_modulus(n, eps, g.p) // g
+    degrees = np.arange(n)[:, None] + np.arange(h.degree + 1)
+    terms = np.where(degrees >= n, (-1) ** eps, 1) * np.array(h.coeffs)
+    check = np.zeros((n, n), dtype=np.int64)
+    np.add.at(check, (np.arange(n)[:, None], degrees % n), terms)
+    tables = np.array(GeneratorMatrix.from_poly(g, n).rows), check % g.p
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
-def lifts_by_invariance(aut: DCAut, matrix: GeneratorMatrix) -> bool:
-    """Whether the automorphism maps the matrix row space into itself.
+def lifts_by_invariance(aut: DCAut, g: FpPoly, n: int, eps: int) -> bool:
+    """Whether the automorphism maps the code <g> of length n into itself.
 
     Row i of the homology block carries a single signed entry at column
-    perm(i), so a row vector w maps to y with y[i] = sign(i) * w[perm(i)];
-    the automorphism lifts exactly when every basis row maps back into
-    the row space.
+    perm(i), so a word w maps to y with y[i] = sign(i) * w[perm(i)]; the
+    automorphism lifts exactly when every basis word maps back into <g>.
+    Raises ValueError unless g is a monic proper divisor of the modulus.
     """
-    n, p = matrix.n, matrix.p
     if aut.n != n:
-        raise ValueError("automorphism and matrix disagree on the cycle length")
-    pivots, rows = _row_space(matrix)
+        raise ValueError("automorphism and code disagree on the cycle length")
+    basis, check = _code_tables(g, n, eps)
     perm, sign = aut.homology_action()
-    for w in rows:
-        y = [sign[i] * w[perm[i]] % p for i in range(n)]
-        if any(_reduce(y, pivots, rows, p)):
-            return False
-    return True
+    images = basis[:, perm[:n]] * sign[:n]
+    return not (images @ check % g.p).any()
 
 
-def lifting_swaps(matrix: GeneratorMatrix) -> list[int]:
+def lifting_swaps(g: FpPoly, n: int, eps: int) -> list[int]:
     """Basis masks of the group of edge swaps that lift, found exhaustively.
 
     Lifts form a group and swaps compose by xor of their masks, so the
     lifting swaps are a binary subspace; every mask is tested and the
     result is checked to be closed.
     """
-    n = matrix.n
     if n > 20:
         raise ValueError("exhaustive swap search is limited to 20 edge pairs")
     hits = [
-        m for m in range(1 << n) if lifts_by_invariance(DCAut(n, swaps=m), matrix)
+        m for m in range(1 << n) if lifts_by_invariance(DCAut(n, swaps=m), g, n, eps)
     ]
     basis = span_basis(hits)
     if len(hits) != 1 << len(basis):
@@ -194,7 +185,7 @@ def lifting_report(info: DivisorInfo) -> LiftReport:
     when the core is reflexible: its swap tail is the full swap for a
     type-1 core and the union of the even-position step classes for a
     strictly type-2 core.  Every generator is re-checked against the
-    row-space criterion before being reported.
+    check-polynomial criterion before being reported.
     """
     n, eps, d = info.n, info.eps, info.step
     b_masks = [DCAut.periodic_swap(n, i, d).swaps for i in range(d)]
@@ -209,10 +200,9 @@ def lifting_report(info: DivisorInfo) -> LiftReport:
         gens = subgroup_from_case(n, "iii", b_masks, eps, j_mask=tau_l.swaps)
     else:
         gens = subgroup_from_case(n, "ii", b_masks, eps)
-    matrix = GeneratorMatrix.from_poly(info.g, n)
-    for g in gens:
-        if not lifts_by_invariance(g, matrix):
-            raise AssertionError(f"predicted generator {g} fails the row-space criterion")
+    for aut in gens:
+        if not lifts_by_invariance(aut, info.g, n, eps):
+            raise AssertionError(f"predicted generator {aut} does not preserve the code")
     base = (1 << d) * n * (2 if info.weakly_reflexible else 1)
     return LiftReport(
         info=info,

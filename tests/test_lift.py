@@ -1,11 +1,13 @@
 """Tests for the two lifting criteria and the lifting subgroup report."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dccover.cover import GeneratorMatrix, build_cover
-from dccover.dcycle import DCAut, in_span, span_basis
-from dccover.fpoly import FpPoly, modulus_divisors, poly_one
+from dccover.cover import build_cover
+from dccover.dcycle import DCAut, in_span
+from dccover.fpoly import FpPoly, code_modulus, modulus_divisors, poly_one
 from dccover.lift import (
     Inconsistent,
     is_minimal_cover,
@@ -52,53 +54,106 @@ def aut_strategy(n):
     )
 
 
-# -- the row-space criterion ----------------------------------------------------
+# -- the check-polynomial criterion ------------------------------------------------
+
+
+def lifts_by_reference(aut, g, n):
+    """Whether g divides the signed-permuted image of every basis word x^i * g."""
+    perm, sign = aut.homology_action()
+    for i in range(n - g.degree):
+        word = [g.coeff(k - i) for k in range(n)]
+        image = FpPoly(g.p, tuple(sign[k] * word[perm[k]] for k in range(n)))
+        if not g.divides(image):
+            return False
+    return True
+
+
+def reference_auts(g, n, eps):
+    """Every swap mask, reflection and shift 0 or 1 up to n = 5, else a seeded sample."""
+    if n <= 5:
+        return [
+            DCAut(n, swaps, reflect, shift)
+            for swaps in range(1 << n)
+            for reflect in (0, 1)
+            for shift in (0, 1)
+        ]
+    rng = random.Random(f"reference:{n}:{eps}:{g.p}:{g.coeffs}")
+    return [
+        DCAut(n, rng.randrange(1 << n), rng.randrange(2), rng.randrange(n))
+        for _ in range(48)
+    ]
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_invariance_matches_the_divisibility_reference(p):
+    outcomes = set()
+    for n in range(3, 9):
+        for eps in (0, 1):
+            divisors = modulus_divisors(n, eps, p)
+            assert poly_one(p) in divisors
+            for g in divisors:
+                for aut in reference_auts(g, n, eps):
+                    want = lifts_by_reference(aut, g, n)
+                    assert lifts_by_invariance(aut, g, n, eps) == want, (
+                        g.to_text(), n, eps, aut.to_text()
+                    )
+                    outcomes.add(want)
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize(
+    "aut, g, n, eps",
+    [
+        (DCAut.rotation(4), FpPoly(7, (6, 1)), 3, 0),  # aut.n differs from n
+        (DCAut.rotation(3), FpPoly(7, (2, 1)), 3, 0),  # x + 2 does not divide x^3 - 1
+        (DCAut.rotation(3), FpPoly(7, (2, 2)), 3, 1),  # 2(x + 1) is not monic
+        (DCAut.rotation(3), FpPoly(7, ()), 3, 0),
+        (DCAut.rotation(3), code_modulus(3, 0, 7), 3, 0),
+    ],
+    ids=["length", "non-divisor", "non-monic", "zero", "modulus"],
+)
+def test_invariance_rejects_bad_input(aut, g, n, eps):
+    with pytest.raises(ValueError):
+        lifts_by_invariance(aut, g, n, eps)
 
 
 def test_twisted_rotation_always_lifts():
     for g, n, eps in small_cases():
-        m = GeneratorMatrix.from_poly(g, n)
         rot = DCAut.rotation(n)
         if eps:
             rot = rot * DCAut.edge_swap(n, 0)
-        assert lifts_by_invariance(rot, m), (g.to_text(), n, eps)
+        assert lifts_by_invariance(rot, g, n, eps), (g.to_text(), n, eps)
 
 
 def test_full_swap_always_lifts():
     for g, n, eps in small_cases():
-        m = GeneratorMatrix.from_poly(g, n)
-        assert lifts_by_invariance(DCAut.full_swap(n), m)
+        assert lifts_by_invariance(DCAut.full_swap(n), g, n, eps)
 
 
 def test_periodic_swap_lifts_exactly_when_step_divides_the_support_step():
     for g, n, eps in small_cases():
         d = divisor_info(g, n, eps).step
-        m = GeneratorMatrix.from_poly(g, n)
         for k in range(1, n + 1):
             if n % k:
                 continue
-            got = lifts_by_invariance(DCAut.periodic_swap(n, 0, k), m)
+            got = lifts_by_invariance(DCAut.periodic_swap(n, 0, k), g, n, eps)
             assert got == (d % k == 0), (g.to_text(), n, eps, k, d)
 
 
 def test_single_swap_against_a_linear_divisor():
-    m = GeneratorMatrix.from_poly(FpPoly(7, (5, 1)), 3)
-    assert not lifts_by_invariance(DCAut.edge_swap(3, 0), m)
+    assert not lifts_by_invariance(DCAut.edge_swap(3, 0), FpPoly(7, (5, 1)), 3, 0)
 
 
 def test_reflection_cases_on_cubic_divisors():
     refl_full = DCAut.reflection(3) * DCAut.full_swap(3)
-    m_unit = GeneratorMatrix.from_poly(FpPoly(7, (1, 1, 1)), 3)
-    m_lin = GeneratorMatrix.from_poly(FpPoly(7, (5, 1)), 3)
-    assert lifts_by_invariance(refl_full, m_unit)
-    assert not lifts_by_invariance(refl_full, m_lin)
+    assert lifts_by_invariance(refl_full, FpPoly(7, (1, 1, 1)), 3, 0)
+    assert not lifts_by_invariance(refl_full, FpPoly(7, (5, 1)), 3, 0)
 
 
 def test_type2_reflection_tail_on_the_sextic():
-    m = GeneratorMatrix.from_poly(SEXTIC5, 8)
     tail = DCAut(8, swaps=0b00110011)  # edge pairs {0, 1, 4, 5}
-    assert lifts_by_invariance(DCAut.reflection(8) * tail, m)
-    assert not lifts_by_invariance(DCAut.reflection(8) * DCAut.full_swap(8), m)
+    assert lifts_by_invariance(DCAut.reflection(8) * tail, SEXTIC5, 8, 0)
+    assert not lifts_by_invariance(DCAut.reflection(8) * DCAut.full_swap(8), SEXTIC5, 8, 0)
     rep = lifting_report(divisor_info(SEXTIC5, 8, 0))
     assert rep.tau_l == tail
 
@@ -106,7 +161,7 @@ def test_type2_reflection_tail_on_the_sextic():
 def test_swap_kernel_dimension_is_the_support_step():
     for g, n, eps in small_cases():
         info = divisor_info(g, n, eps)
-        basis = lifting_swaps(GeneratorMatrix.from_poly(g, n))
+        basis = lifting_swaps(g, n, eps)
         assert len(basis) == info.step, (g.to_text(), n, eps)
         for i in range(info.step):
             mask = sum(1 << j for j in range(i, n, info.step))
@@ -115,7 +170,7 @@ def test_swap_kernel_dimension_is_the_support_step():
 
 def test_every_swap_lifts_only_for_the_constant_divisor():
     for g, n, eps in small_cases():
-        basis = lifting_swaps(GeneratorMatrix.from_poly(g, n))
+        basis = lifting_swaps(g, n, eps)
         assert (len(basis) == n) == g.is_one
 
 
@@ -150,9 +205,8 @@ def test_propagation_base_image_validation():
 def test_propagation_agrees_with_invariance(case, data):
     g, n, eps = case
     aut = data.draw(aut_strategy(n))
-    m = GeneratorMatrix.from_poly(g, n)
     cov = build_cover(g, n, eps)
-    predicted = lifts_by_invariance(aut, m)
+    predicted = lifts_by_invariance(aut, g, n, eps)
     got = lift_by_propagation(aut, cov)
     assert isinstance(got, list) == predicted
     if predicted:
@@ -226,8 +280,7 @@ def test_minimality_of_the_cubic_covers():
 def test_every_report_generator_lifts_across_the_sweep():
     for g, n, eps in small_cases():
         rep = lifting_report(divisor_info(g, n, eps))
-        m = GeneratorMatrix.from_poly(g, n)
-        assert all(lifts_by_invariance(a, m) for a in rep.generators)
+        assert all(lifts_by_invariance(a, g, n, eps) for a in rep.generators)
         assert len(rep.generators) == rep.info.step + 1 + (1 if rep.arc_transitive else 0)
 
 
