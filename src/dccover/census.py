@@ -20,13 +20,7 @@ from dataclasses import dataclass, fields
 from .cover import CoverGraph, build_cover
 from .fpoly import FpPoly, is_odd_prime, modulus_divisors
 from .lift import lifted_generators, lifting_report
-from .permgrp import (
-    DEFAULT_ORACLE_LIMIT,
-    OracleLimit,
-    PermGroup,
-    automorphism_group,
-    transitivity_profile,
-)
+from .permgrp import OracleLimit, PermGroup, automorphism_group, transitivity_profile
 from .reflex import divisor_info
 
 VERIFY_TIERS = ("none", "lifts", "orbits", "aut")
@@ -132,7 +126,7 @@ def census_rows(
     eps_values=(0, 1),
     verify: str = "lifts",
     max_order: int = 2500,
-    aut_limit: int = DEFAULT_ORACLE_LIMIT,
+    aut_limit: int | None = None,
     time_budget: float | None = None,
     jobs: int = 1,
 ) -> list[CensusRow]:
@@ -140,11 +134,14 @@ def census_rows(
 
     Rows are ordered by (n, p, eps) and then by divisor degree and
     coefficients.  Rows whose cover is larger than max_order skip the
-    permutation checks but still carry the predicted values.
+    permutation checks but still carry the predicted values.  The aut tier
+    searches covers of up to aut_limit vertices, max_order by default.
     """
     if verify not in VERIFY_TIERS:
         raise ValueError(f"verify must be one of {VERIFY_TIERS}")
     _check_sweep(ps, ns)
+    if aut_limit is None:
+        aut_limit = max_order
     tasks = []
     for n in sorted(ns):
         for p in sorted(ps):
@@ -258,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     census.add_argument("--verify", choices=VERIFY_TIERS, default="lifts")
     census.add_argument("--max-order", type=_above_zero(int), default=2500)
     census.add_argument(
-        "--aut-limit", type=_above_zero(int), default=DEFAULT_ORACLE_LIMIT
+        "--aut-limit", type=_above_zero(int), default=None, help="--max-order by default"
     )
     census.add_argument("--time-budget", type=_above_zero(float), default=None)
     census.add_argument("--jobs", type=_above_zero(int), default=1)

@@ -37,12 +37,12 @@ class GeneratorMatrix:
     def __post_init__(self):
         if not is_odd_prime(self.p):
             raise ValueError(f"{self.p} is not an odd prime")
-        rows = tuple(tuple(int(x) % self.p for x in row) for row in self.rows)
-        if not rows or not rows[0]:
+        if not len(self.rows) or not len(self.rows[0]):
             raise ValueError("the matrix must be nonempty")
-        if any(len(row) != len(rows[0]) for row in rows):
+        if len(set(map(len, self.rows))) > 1:
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", rows)
+        rows = np.asarray(self.rows, dtype=np.int64) % self.p
+        object.__setattr__(self, "rows", tuple(map(tuple, rows.tolist())))
 
     @classmethod
     def from_poly(cls, g: FpPoly, n: int) -> "GeneratorMatrix":
@@ -51,12 +51,11 @@ class GeneratorMatrix:
         if not 1 <= n - m:
             raise ValueError("the polynomial leaves no room for rows")
         r = n - m
-        coeffs = [g.coeff(k) for k in range(m + 1)]
-        rows = tuple(
-            tuple(coeffs[j - i] if i <= j <= i + m else 0 for j in range(n))
-            for i in range(r)
-        )
-        return cls(g.p, rows)
+        # Rows of length n + 1 that start with g, read back with length n:
+        # each row then starts one place later than the one before.
+        rows = np.zeros((r, n + 1), dtype=np.int64)
+        rows[:, : m + 1] = g.coeffs
+        return cls(g.p, rows.ravel()[: r * n].reshape(r, n))
 
     @property
     def r(self) -> int:
@@ -248,7 +247,7 @@ def extremal_cover(kind: str, p: int, r: int, blocks: int) -> CoverGraph:
     else:
         raise ValueError(f"unknown kind {kind!r}")
     block_row = np.hstack([(s * eye) % p for s in scales])
-    matrix = GeneratorMatrix(p, tuple(map(tuple, block_row.tolist())))
+    matrix = GeneratorMatrix(p, block_row)
     poly = FpPoly(p, tuple(
         core[k // r] if k % r == 0 else 0 for k in range((blocks - 1) * r + 1)
     ))

@@ -224,7 +224,8 @@ def lifted_generators(report: LiftReport, cover: CoverGraph) -> list[list[int]]:
     a group of order base_order * p^fiber_dim.
     """
     info = report.info
-    if cover.matrix != GeneratorMatrix.from_poly(info.g, info.n):
+    basis, _ = _code_tables(info.g, info.n, info.eps)
+    if cover.p != info.p or not np.array_equal(cover.matrix.rows, basis):
         raise ValueError("cover does not belong to the report's divisor")
     perms: list[list[int]] = []
     for g in report.generators:

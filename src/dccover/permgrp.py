@@ -399,6 +399,16 @@ def _refine(table: np.ndarray, col: np.ndarray, count: int):
         count = grown
 
 
+def _common_depth(path_a: list[int], path_b: list[int]) -> int:
+    """Length of the longest common prefix of two search paths."""
+    depth = 0
+    for a, b in zip(path_a, path_b):
+        if a != b:
+            break
+        depth += 1
+    return depth
+
+
 class _AutSearch:
     """Backtracking search over refined colourings of a neighbour table.
 
@@ -406,6 +416,12 @@ class _AutSearch:
     target cell: the smallest cell of more than one vertex, the one of
     least colour on a tie.  A leaf's colouring is discrete, so it labels
     the vertices, and the leaf key is the graph relabelled by it.
+
+    A leaf whose key matches the first leaf's, or whose invariants and key
+    match the best leaf's, gives an automorphism.  It maps the searched
+    child subtree of their deepest common ancestor that holds the earlier
+    leaf onto the one that holds this leaf, so the search jumps back to
+    that ancestor.
     """
 
     def __init__(self, table: np.ndarray, deadline: float | None):
@@ -415,9 +431,11 @@ class _AutSearch:
         self.first_inv: list[bytes] = []
         self.first_leaf = None
         self.first_key = None
+        self.first_path: list[int] = []
         self.best_inv: list[bytes] = []
         self.best_leaf = None
         self.best_key = None
+        self.best_path: list[int] = []
 
     def run(self) -> "_AutSearch":
         start = np.zeros(len(self.table), dtype=np.int64)
@@ -428,7 +446,8 @@ class _AutSearch:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise OracleLimit("automorphism search exceeded its time budget")
 
-    def _dfs(self, node, prefix, inv_path, on_first, best_cmp):
+    def _dfs(self, node, prefix, inv_path, on_first, best_cmp) -> int | None:
+        """Search below the node; the depth to jump back to, or None."""
         self._tick()
         col, count, inv = node
         inv_path = inv_path + [inv]
@@ -444,10 +463,9 @@ class _AutSearch:
             elif inv < self.best_inv[depth]:
                 best_cmp = "LT"
         if self.best_leaf is not None and best_cmp == "LT" and not on_first:
-            return
+            return None
         if count == len(col):
-            self._leaf(col, inv_path)
-            return
+            return self._leaf(col, prefix, inv_path)
         sizes = np.bincount(col)
         target = np.argmin(np.where(sizes > 1, sizes, len(col) + 1))
         tried: list[int] = []
@@ -466,26 +484,37 @@ class _AutSearch:
             child = 2 * col
             child[v] -= 1
             node = _refine(self.table, child, count + 1)
-            self._dfs(node, prefix + [v], inv_path, on_first, best_cmp)
+            jump = self._dfs(node, prefix + [v], inv_path, on_first, best_cmp)
+            if jump is not None and jump < depth:
+                return jump
+        return None
 
-    def _leaf(self, lab, inv_path):
+    def _leaf(self, lab, path, inv_path) -> int | None:
+        """Take in a leaf; when it matches the first or the best leaf, the
+        depth of their deepest common ancestor."""
         key = _sorted_rows(self.table, lab)[perm_inverse(lab)].tobytes()
         if self.first_leaf is None:
             self.first_inv = list(inv_path)
             self.first_leaf = lab
             self.first_key = key
+            self.first_path = path
             self.best_inv = list(inv_path)
             self.best_leaf = lab
             self.best_key = key
-            return
+            self.best_path = path
+            return None
         if key == self.first_key:
             self._record(self.first_leaf, lab)
+            return _common_depth(self.first_path, path)
         if (inv_path, key) > (self.best_inv, self.best_key):
             self.best_inv = list(inv_path)
             self.best_leaf = lab
             self.best_key = key
+            self.best_path = path
         elif inv_path == self.best_inv and key == self.best_key:
             self._record(self.best_leaf, lab)
+            return _common_depth(self.best_path, path)
+        return None
 
     def _record(self, lab_a, lab_b):
         """Automorphism sending each vertex of labeling a to its twin in b."""

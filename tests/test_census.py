@@ -227,6 +227,19 @@ def test_cli_census_writes_tsv(tmp_path):
     assert lines[0].startswith("p\tn\teps")
 
 
+def test_cli_aut_limit_follows_max_order(tmp_path):
+    out = tmp_path / "rows.jsonl"
+    code = main(
+        ["census", "--p", "3", "--n", "4", "--eps", "0", "--verify", "aut",
+         "--max-order", "400", "--format", "jsonl", "--out", str(out)]
+    )
+    assert code == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    (largest,) = [row for row in rows if row["order"] == 324]
+    assert largest["aut_order"] == 10368
+    assert largest["skipped"] is None
+
+
 def test_cli_export_writes_edges(tmp_path):
     out = tmp_path / "graph.txt"
     code = main(

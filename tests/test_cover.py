@@ -61,12 +61,33 @@ def test_constant_divisor_gives_identity_matrix():
     assert m.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
+def test_banded_matrix_matches_the_entrywise_reference():
+    for p in (3, 5, 7):
+        for n in range(3, 9):
+            for eps in (0, 1):
+                for g in modulus_divisors(n, eps, p):
+                    want = tuple(
+                        tuple(g.coeff(j - i) for j in range(n))
+                        for i in range(n - g.degree)
+                    )
+                    assert GeneratorMatrix.from_poly(g, n).rows == want
+
+
+def test_matrix_entries_are_reduced_mod_p():
+    m = GeneratorMatrix(5, [[-1, 7], np.array([5, 12])])
+    assert m.rows == ((4, 2), (0, 2))
+    assert all(type(x) is int for row in m.rows for x in row)
+    assert m == GeneratorMatrix(5, np.array([[4, 2], [0, 2]]))
+
+
 def test_matrix_validation():
     with pytest.raises(ValueError):
         GeneratorMatrix(4, ((1, 0),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonempty"):
         GeneratorMatrix(5, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonempty"):
+        GeneratorMatrix(5, ((),))
+    with pytest.raises(ValueError, match="ragged rows"):
         GeneratorMatrix(5, ((1, 2), (1, 2, 3)))
     with pytest.raises(ValueError):
         GeneratorMatrix.from_poly(SEXTIC5, 6)

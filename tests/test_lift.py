@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dccover.cover import build_cover
+from dccover.cover import build_cover, extremal_cover
 from dccover.dcycle import DCAut, in_span
 from dccover.fpoly import FpPoly, code_modulus, modulus_divisors, poly_one
 from dccover.lift import (
@@ -289,3 +289,8 @@ def test_lifted_generators_requires_the_matching_cover():
     other = build_cover(FpPoly(7, (3, 1)), 3, 0)
     with pytest.raises(ValueError):
         lifted_generators(rep, other)
+    # The extremal family shares g with the built cover, not the matrix.
+    fam = extremal_cover("pmtheta", 5, 2, 2)
+    rep = lifting_report(divisor_info(fam.g, fam.n, fam.eps))
+    with pytest.raises(ValueError, match="does not belong"):
+        lifted_generators(rep, fam)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dccover import permgrp
 from dccover.permgrp import (
     NotAnAutomorphism,
     OracleLimit,
@@ -482,6 +483,50 @@ def test_bounded_aut_order_matches_the_unbounded_closure():
                     bounded += aut.upper_bound is not None
     # Both paths run: covers whose Aut moves the fibers have no bound.
     assert 0 < bounded < checked
+
+
+def test_canonical_form_is_relabelling_invariant_on_sweep_covers():
+    rng = np.random.default_rng(7)
+    checked = 0
+    for p in (3, 5, 7):
+        for n in range(3, 6):
+            for eps in (0, 1):
+                for g in modulus_divisors(n, eps, p):
+                    if n * p ** divisor_info(g, n, eps).fiber_dim > 300:
+                        continue
+                    cov = build_cover(g, n, eps)
+                    lab = rng.permutation(cov.order)
+                    relab = [[] for _ in range(cov.order)]
+                    for u, nbrs in enumerate(cov.adjacency()):
+                        relab[lab[u]] = [int(lab[v]) for v in nbrs]
+                    assert canonical_form(cov, limit=300) == canonical_form(
+                        relab, limit=300
+                    ), (p, n, eps, g.coeffs)
+                    checked += 1
+    assert checked == 56
+
+
+@pytest.mark.parametrize(
+    "graph, leaves",
+    [
+        (lambda: cycle_adj(8), 3),
+        (lambda: build_cover(FpPoly(7, (5, 1)), 3, 0), 5),
+        (lambda: build_cover(FpPoly(5, (1,)), 4, 0), 9),
+    ],
+    ids=["C8", "p7-n3-5+x", "p5-n4-1"],
+)
+def test_search_jumps_back_after_an_equivalent_leaf(graph, leaves, monkeypatch):
+    # Walking every subtree to its end takes 4, 7 and 16 leaves.
+    calls = []
+    leaf = permgrp._AutSearch._leaf
+
+    def counted(self, *args):
+        calls.append(1)
+        return leaf(self, *args)
+
+    monkeypatch.setattr(permgrp._AutSearch, "_leaf", counted)
+    automorphism_group(graph(), limit=2500)
+    assert len(calls) == leaves
 
 
 def test_aut_generators_are_verified_automorphisms():
