@@ -62,10 +62,8 @@ from .permgrp import (
     canonical_form,
     transitivity_profile,
 )
-from .census import CensusRow, census_rows, export_graph, write_jsonl, write_tsv
 
 __all__ = [
-    "CensusRow",
     "CoverGraph",
     "DCAut",
     "DivisorInfo",
@@ -82,13 +80,11 @@ __all__ = [
     "automorphism_group",
     "build_cover",
     "canonical_form",
-    "census_rows",
     "check_simple",
     "code_modulus",
     "compress",
     "core_polynomial",
     "divisor_info",
-    "export_graph",
     "extremal_cover",
     "factor_code_modulus",
     "homology_matrix",
@@ -110,8 +106,6 @@ __all__ = [
     "subgroup_from_case",
     "support_gcd",
     "transitivity_profile",
-    "write_jsonl",
-    "write_tsv",
 ]
 
 __version__ = "0.1.0"

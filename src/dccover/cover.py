@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcycle import dart_at
 from .fpoly import FpPoly, code_modulus, is_odd_prime
 from .permgrp import NotAnAutomorphism, PermGroup, arc_action, orbit_labels
 
@@ -139,12 +138,6 @@ class CoverGraph:
     def layer(self, vid: int) -> int:
         return vid // self.fiber_size
 
-    # -- dart structure ---------------------------------------------------------
-
-    def base_dart(self, vid: int, t: int) -> int:
-        """Dart of the doubled cycle under the covering projection."""
-        return dart_at(self.n, vid // self.fiber_size, t)
-
     # -- graph views -----------------------------------------------------------
 
     def adjacency(self) -> list[list[int]]:
@@ -170,17 +163,18 @@ class CoverGraph:
 
         None unless the cover is connected and every permutation maps darts
         to darts, sending all darts over one base dart to darts over one base
-        dart.  The group then acts on the 4n base darts.  A kernel element
-        that fixes a vertex fixes its four darts, which lie over four
-        distinct base darts, so it fixes the four neighbours and, by
-        connectivity, every vertex.  The kernel is therefore semiregular on
-        a fiber, and the order is at most the order of the induced group on
-        base darts times the fiber size.
+        dart.  Arc 4u+t lies over base dart 4(u // fiber_size) + t, in the
+        numbering of DCAut.arc_perm, and the group then acts on the 4n base
+        darts.  A kernel element that fixes a vertex fixes its four darts,
+        which lie over four distinct base darts, so it fixes the four
+        neighbours and, by connectivity, every vertex.  The kernel is
+        therefore semiregular on a fiber, and the order is at most the order
+        of the induced group on base darts times the fiber size.
         """
         if not self.is_connected():
             return None
         arc_perm, _ = arc_action(self.dart_ends)
-        base = self.base_dart(np.arange(self.order)[:, None], np.arange(4)).ravel()
+        base = (np.arange(self.order)[:, None] // self.fiber_size * 4 + np.arange(4)).ravel()
         induced = []
         for perm in perms:
             try:

@@ -1,10 +1,11 @@
 """The doubled cycle and its automorphisms in split normal form.
 
 The doubled cycle on n vertices has two parallel arcs a_j, b_j from vertex j
-to vertex j+1.  Darts are encoded as t*n + j with track t in {0: a_j, 1: b_j,
-2: inverse of a_j, 3: inverse of b_j}; flipping bit 0 of t exchanges the two
-parallel arcs, flipping bit 1 reverses direction.  Only this module knows
-the encoding; the others go through dart_at and dart_track.
+to vertex j+1.  Dart 4v+t is the dart of track t leaving vertex v, the
+numbering a cover gives its arcs with a one-point fiber: tracks 0 and 1 run
+along a_v and b_v, tracks 2 and 3 back along the inverses of a_{v-1} and
+b_{v-1}.  Flipping bit 0 of t exchanges the two parallel arcs, flipping bit 1
+reverses direction.
 
 Every automorphism factors uniquely as tau_J sigma^s rho^k where tau_J swaps
 the parallel arc pairs indexed by J, sigma is the reflection fixing the arcs
@@ -64,23 +65,6 @@ def in_span(basis, mask: int) -> bool:
     for b in basis:
         mask = min(mask, mask ^ b)
     return mask == 0
-
-
-# -- darts ------------------------------------------------------------------
-
-
-def dart_at(n: int, vertex, t):
-    """Code of the dart of track t leaving a vertex; elementwise on arrays.
-
-    Tracks 0 and 1 leave vertex j along the arc pair j, tracks 2 and 3 leave
-    it backwards along the arc pair j - 1.
-    """
-    return t * n + (vertex - (t >= 2)) % n
-
-
-def dart_track(n: int, dart):
-    """Track of a dart code; elementwise on arrays."""
-    return dart // n
 
 
 # -- automorphisms ------------------------------------------------------------
@@ -167,14 +151,10 @@ class DCAut:
         return (w + self.shift) % self.n
 
     def dart_image(self, dart: int) -> int:
-        n = self.n
-        t, j = divmod(dart, n)
-        if (self.swaps >> j) & 1:
-            t ^= 1
-        if self.reflect:
-            j = -j % n
-            t ^= 2
-        return t * n + (j + self.shift) % n
+        v, t = divmod(dart, 4)
+        j = (v - (t >= 2)) % self.n  # the dart's arc pair
+        t ^= ((self.swaps >> j) & 1) ^ 2 * self.reflect
+        return 4 * self.vertex_image(v) + t
 
     def vertex_perm(self) -> list[int]:
         return [self.vertex_image(v) for v in range(self.n)]

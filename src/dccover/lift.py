@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cover import CoverGraph, GeneratorMatrix
-from .dcycle import DCAut, dart_at, dart_track, span_basis, subgroup_from_case
+from .dcycle import DCAut, span_basis, subgroup_from_case
 from .fpoly import FpPoly, code_modulus
 from .reflex import (
     DivisorInfo,
@@ -117,12 +117,7 @@ def lift_by_propagation(
     if cover.layer(base_image) != aut.vertex_image(0):
         raise ValueError("base image must lie over the image of vertex 0")
     # tracks[j, t]: track of the image of the dart of track t at base vertex j.
-    layers = np.arange(n)[:, None]
-    images = np.asarray(aut.arc_perm())[dart_at(n, layers, np.arange(4))]
-    tracks = dart_track(n, images)
-    starts = np.asarray(aut.vertex_perm())[layers]
-    if not np.array_equal(images, dart_at(n, starts, tracks)):
-        raise AssertionError("image dart does not start at the image vertex")
+    tracks = np.asarray(aut.arc_perm()).reshape(n, 4) % 4
     ends = cover.dart_ends
     image = np.full(cover.order, -1, dtype=np.int64)
     image[0] = base_image

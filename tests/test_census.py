@@ -4,6 +4,8 @@ import importlib.util
 import inspect
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -225,6 +227,20 @@ def test_cli_census_writes_tsv(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 8
     assert lines[0].startswith("p\tn\teps")
+
+
+def test_module_entry_point_runs_without_runtime_warnings():
+    # runpy warns when the package has already imported the module it is
+    # about to run as __main__, so the package must not import census.
+    src = str(Path(census_mod.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "dccover.census",
+         "census", "--p", "3", "--n", "3", "--verify", "none"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert len(done.stdout.splitlines()) == 7
 
 
 def test_cli_aut_limit_follows_max_order(tmp_path):

@@ -24,6 +24,7 @@ from dccover.fpoly import FpPoly, modulus_divisors, poly_one
 from dccover.lift import lifted_generators, lifting_report
 from dccover.permgrp import (
     PermGroup,
+    arc_action,
     automorphism_group,
     orbit_labels,
     perm_inverse,
@@ -132,26 +133,39 @@ def test_vertex_roundtrip_and_layers():
         cov.vertex_id((1,), 0)
 
 
-def test_dart_tracks_invert_each_other():
+def test_reverse_tracks_invert_each_other():
     cov = build_cover(QUINTIC3, 8, 0)
     ends = cov.dart_ends
     # Track t at u ends at w, and track t ^ 2 at w leads back to u.
     assert (ends[ends, [2, 3, 0, 1]] == np.arange(cov.order)[:, None]).all()
 
 
-def test_darts_project_onto_base_darts():
-    cov = build_cover(SEXTIC5, 8, 0)
-    n = cov.n
-    for vid in (0, 31, 112):
-        layer = cov.layer(vid)
-        got = {cov.base_dart(vid, t) for t in range(4)}
-        expect = {
-            0 * n + layer,
-            1 * n + layer,
-            2 * n + (layer - 1) % n,
-            3 * n + (layer - 1) % n,
-        }
-        assert got == expect
+def small_covers(max_order=1000):
+    """Report and cover of every divisor over p 3,5,7, n 3..5 up to max_order vertices."""
+    for p in (3, 5, 7):
+        for n in range(3, 6):
+            for eps in (0, 1):
+                for g in modulus_divisors(n, eps, p):
+                    info = divisor_info(g, n, eps)
+                    if n * p**info.fiber_dim <= max_order:
+                        yield lifting_report(info), build_cover(g, n, eps)
+
+
+def test_lifted_arc_actions_project_onto_base_arc_actions():
+    checked = 0
+    for report, cov in small_covers():
+        arc_perm, _ = arc_action(cov.dart_ends)
+        arcs = np.arange(4 * cov.order)
+        base = arcs // (4 * cov.fiber_size) * 4 + arcs % 4
+        # Each lift covers its generator; each deck translation covers the identity.
+        expected = [aut.arc_perm() for aut in report.generators]
+        expected += [list(range(4 * cov.n))] * cov.r
+        lifts = lifted_generators(report, cov)
+        assert len(lifts) == len(expected)
+        for perm, on_base in zip(lifts, expected):
+            assert np.array_equal(base[arc_perm(perm)], np.asarray(on_base)[base])
+        checked += 1
+    assert checked == 68
 
 
 def test_build_cover_validation():
@@ -269,29 +283,22 @@ def test_order_bound_needs_a_connected_cover():
 def test_certified_order_matches_the_reference_chain():
     rng = random.Random(7)
     checked = 0
-    for p in (3, 5, 7):
-        for n in range(3, 6):
-            for eps in (0, 1):
-                for g in modulus_divisors(n, eps, p):
-                    info = divisor_info(g, n, eps)
-                    if n * p**info.fiber_dim > 1000:
-                        continue
-                    cov = build_cover(g, n, eps)
-                    gens = lifted_generators(lifting_report(info), cov)
-                    bound = cov.group_order_bound(gens)
-                    certified = PermGroup(gens, upper_bound=bound)
-                    reference = PermGroup(gens)
-                    assert certified.order() == reference.order() == bound
-                    for _ in range(4):
-                        member = np.arange(cov.order)
-                        for _ in range(6):
-                            member = np.asarray(rng.choice(gens))[member]
-                        moved = member.copy()
-                        i, j = rng.sample(range(cov.order), 2)
-                        moved[[i, j]] = moved[[j, i]]
-                        assert certified.contains(member) and reference.contains(member)
-                        assert certified.contains(moved) == reference.contains(moved)
-                    checked += 1
+    for report, cov in small_covers():
+        gens = lifted_generators(report, cov)
+        bound = cov.group_order_bound(gens)
+        certified = PermGroup(gens, upper_bound=bound)
+        reference = PermGroup(gens)
+        assert certified.order() == reference.order() == bound
+        for _ in range(4):
+            member = np.arange(cov.order)
+            for _ in range(6):
+                member = np.asarray(rng.choice(gens))[member]
+            moved = member.copy()
+            i, j = rng.sample(range(cov.order), 2)
+            moved[[i, j]] = moved[[j, i]]
+            assert certified.contains(member) and reference.contains(member)
+            assert certified.contains(moved) == reference.contains(moved)
+        checked += 1
     assert checked == 68
 
 

@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from dccover.dcycle import (
     DCAut,
-    dart_at,
-    dart_track,
     homology_matrix,
     in_span,
     mask_bits,
@@ -76,24 +74,27 @@ def test_span_membership():
 def test_rotation_acts_on_darts_and_vertices():
     rho = DCAut.rotation(3)
     assert rho.vertex_perm() == [1, 2, 0]
-    # a_j and b_j advance one step, inverses follow suit.
-    assert rho.arc_perm() == [1, 2, 0, 4, 5, 3, 7, 8, 6, 10, 11, 9]
+    # Every dart 4v+t moves to the dart of the same track at v + 1.
+    assert rho.arc_perm() == [4, 5, 6, 7, 8, 9, 10, 11, 0, 1, 2, 3]
 
 
 def test_reflection_acts_on_darts_and_vertices():
     sig = DCAut.reflection(3)
     assert sig.vertex_perm() == [1, 0, 2]
-    # sigma sends a_1 to the inverse of a_{-1}.
-    assert sig.dart_image(0 * 3 + 1) == 2 * 3 + 2
-    assert sig.dart_image(1 * 3 + 0) == 3 * 3 + 0
+    # sigma sends a_1 (track 0 at vertex 1) to the inverse of a_{-1}
+    # (track 2 at vertex 0), and b_0 to its own inverse (track 3 at vertex 1).
+    assert sig.dart_image(4 * 1 + 0) == 4 * 0 + 2
+    assert sig.dart_image(4 * 0 + 1) == 4 * 1 + 3
 
 
 def test_swap_exchanges_parallel_arcs():
     tau = DCAut.edge_swap(4, 2)
     assert tau.vertex_perm() == [0, 1, 2, 3]
-    assert tau.dart_image(0 * 4 + 2) == 1 * 4 + 2
-    assert tau.dart_image(2 * 4 + 2) == 3 * 4 + 2
-    assert tau.dart_image(0 * 4 + 1) == 0 * 4 + 1
+    # a_2 and b_2 leave vertex 2, their inverses leave vertex 3.
+    assert tau.dart_image(4 * 2 + 0) == 4 * 2 + 1
+    assert tau.dart_image(4 * 3 + 2) == 4 * 3 + 3
+    assert tau.dart_image(4 * 1 + 0) == 4 * 1 + 0
+    assert tau.dart_image(4 * 2 + 2) == 4 * 2 + 2
 
 
 def test_periodic_swap():
@@ -106,19 +107,15 @@ def test_periodic_swap():
 @given(aut_strategy())
 def test_dart_action_preserves_structure(g):
     n = g.n
-    darts = {dart_at(n, j, t) for j in range(n) for t in range(4)}
-    assert darts == set(range(4 * n))
-    for j in range(n):
+    assert sorted(g.arc_perm()) == list(range(4 * n))
+    for v in range(n):
         for t in range(4):
-            img = g.dart_image(dart_at(n, j, t))
-            t2 = dart_track(n, img)
+            start, t2 = divmod(g.dart_image(4 * v + t), 4)
             # The image leaves the image of the start vertex ...
-            assert img == dart_at(n, g.vertex_image(j), t2)
+            assert start == g.vertex_image(v)
             # ... and the image of the inverse dart is the inverse image.
-            end = (j + 1) % n if t < 2 else (j - 1) % n
-            assert g.dart_image(dart_at(n, end, t ^ 2)) == dart_at(
-                n, g.vertex_image(end), t2 ^ 2
-            )
+            end = (v + 1) % n if t < 2 else (v - 1) % n
+            assert g.dart_image(4 * end + (t ^ 2)) == 4 * g.vertex_image(end) + (t2 ^ 2)
 
 
 # -- normal-form algebra ---------------------------------------------------

@@ -1,6 +1,7 @@
-"""Every name a library module imports is used somewhere in that module."""
+"""Every name a library module imports is used, and the package exports what it imports."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -33,3 +34,12 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_all_lists_every_public_name_of_the_package():
+    public = {
+        name
+        for name, value in vars(dccover).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert set(dccover.__all__) == public
