@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -76,21 +77,32 @@ def _census_row(task) -> CensusRow:
         return CensusRow(**row)
     cover = build_cover(g, n, eps)
     gens = lifted_generators(rep, cover)
-    group = PermGroup(gens, upper_bound=cover.group_order_bound(gens))
-    row["verified_order"] = group.order()
     mismatches = []
-    if row["verified_order"] != rep.lifted_order:
-        mismatches.append(
-            f"lifted group order {row['verified_order']} != {rep.lifted_order}"
-        )
-    if verify in ("orbits", "aut"):
-        prof = transitivity_profile(group, cover)
-        row["arc_orbits"] = prof["arc_orbits"]
-        want_arcs = 1 if rep.arc_transitive else 2
-        if not (prof["vertex_transitive"] and prof["edge_transitive"]):
-            mismatches.append("lifted group is not vertex- and edge-transitive")
-        if prof["arc_orbits"] != want_arcs:
-            mismatches.append(f"arc orbits {prof['arc_orbits']} != {want_arcs}")
+    # The lifted group is certified on the 4n base darts: its order is the
+    # induced group's times p^r, and its orbits are the induced group's.
+    action = cover.base_action(gens)
+    if action is None:
+        if cover.group_order_bound(gens) is None:
+            failed = "a lift does not act on the base darts"
+        else:
+            failed = "the lifts acting trivially on base darts are not transitive on a fiber"
+        mismatches.append(f"lifted group not certified: {failed}")
+    else:
+        on_darts, base = action
+        group = PermGroup(on_darts, 4 * n)
+        row["verified_order"] = group.order() * cover.fiber_size
+        if row["verified_order"] != rep.lifted_order:
+            mismatches.append(
+                f"lifted group order {row['verified_order']} != {rep.lifted_order}"
+            )
+        if verify in ("orbits", "aut"):
+            prof = transitivity_profile(group, base)
+            row["arc_orbits"] = prof["arc_orbits"]
+            want_arcs = 1 if rep.arc_transitive else 2
+            if not (prof["vertex_transitive"] and prof["edge_transitive"]):
+                mismatches.append("lifted group is not vertex- and edge-transitive")
+            if prof["arc_orbits"] != want_arcs:
+                mismatches.append(f"arc orbits {prof['arc_orbits']} != {want_arcs}")
     if verify == "aut":
         try:
             aut = automorphism_group(cover, limit=aut_limit, time_budget=time_budget)
@@ -285,6 +297,20 @@ def _open_out(parser, path):
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    try:
+        status = _run(parser, args)
+        # A reader that went away shows up at the latest here, not at exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # As with `| head`: Python flushes stdout again at exit, so point it
+        # at devnull first (the SIGPIPE note of the signal module docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
+
+
+def _run(parser, args) -> int:
+    """Carry out a parsed command; its exit status."""
     if args.command == "census":
         try:
             _check_sweep(args.p, args.n)

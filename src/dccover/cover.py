@@ -11,11 +11,19 @@ digits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .fpoly import FpPoly, code_modulus, is_odd_prime
-from .permgrp import NotAnAutomorphism, PermGroup, arc_action, orbit_labels
+from .permgrp import (
+    Darts,
+    NotAnAutomorphism,
+    PermGroup,
+    arc_action,
+    generator_labels,
+    orbit_labels,
+)
 
 
 class NonSimpleCover(ValueError):
@@ -156,37 +164,91 @@ class CoverGraph:
         return [(layers + shift).ravel().tolist() for shift in shifts]
 
     def is_connected(self) -> bool:
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:
         return not orbit_labels(self.dart_ends).any()
+
+    def _on_base_darts(self, perms):
+        """The permutations of the 4n base darts induced by vertex
+        permutations, and the projected arc reversal.
+
+        None unless the cover is connected, every permutation maps darts to
+        darts, sending all darts over one base dart to darts over one base
+        dart, and the arc reversal projects to base darts too.  Arc 4u+t lies
+        over base dart 4(u // fiber_size) + t, in the numbering of
+        DCAut.arc_perm.
+        """
+        if not self.is_connected():
+            return None
+        arc_perm, reversal = arc_action(self.dart_ends)
+        base = (np.arange(self.order)[:, None] // self.fiber_size * 4 + np.arange(4)).ravel()
+
+        def project(arcs):
+            image = base[arcs]
+            on_base = np.empty(4 * self.n, dtype=np.int32)
+            on_base[base] = image
+            return on_base if np.array_equal(on_base[base], image) else None
+
+        induced = []
+        for perm in perms:
+            try:
+                on_base = project(arc_perm(perm))
+            except NotAnAutomorphism:
+                return None
+            if on_base is None:
+                return None
+            induced.append(on_base)
+        on_reversal = project(reversal)
+        return None if on_reversal is None else (induced, on_reversal)
 
     def group_order_bound(self, perms) -> int | None:
         """Upper bound on the order of the group the vertex permutations generate.
 
-        None unless the cover is connected and every permutation maps darts
-        to darts, sending all darts over one base dart to darts over one base
-        dart.  Arc 4u+t lies over base dart 4(u // fiber_size) + t, in the
-        numbering of DCAut.arc_perm, and the group then acts on the 4n base
-        darts.  A kernel element that fixes a vertex fixes its four darts,
-        which lie over four distinct base darts, so it fixes the four
-        neighbours and, by connectivity, every vertex.  The kernel is
-        therefore semiregular on a fiber, and the order is at most the order
-        of the induced group on base darts times the fiber size.
+        None unless the permutations act on the 4n base darts
+        (_on_base_darts).  A kernel element of that action that fixes a
+        vertex fixes its four darts, which lie over four distinct base darts,
+        so it fixes the four neighbours and, by connectivity, every vertex.
+        The kernel is therefore semiregular on a fiber, and the order is at
+        most the order of the induced group on base darts times the fiber
+        size.
         """
-        if not self.is_connected():
+        action = self._on_base_darts(perms)
+        if action is None:
             return None
-        arc_perm, _ = arc_action(self.dart_ends)
-        base = (np.arange(self.order)[:, None] // self.fiber_size * 4 + np.arange(4)).ravel()
-        induced = []
-        for perm in perms:
-            try:
-                arcs = arc_perm(perm)
-            except NotAnAutomorphism:
-                return None
-            on_base = np.full(4 * self.n, -1, dtype=np.int32)
-            on_base[base] = base[arcs]
-            if not np.array_equal(on_base[base], base[arcs]):
-                return None
-            induced.append(on_base)
-        return PermGroup(induced, 4 * self.n).order() * self.fiber_size
+        return PermGroup(action[0], 4 * self.n).order() * self.fiber_size
+
+    def base_action(self, perms) -> tuple[list[np.ndarray], Darts] | None:
+        """The action on the 4n base darts of the group that vertex
+        permutations generate, when it determines that group.
+
+        Returns the induced base-dart permutations and the doubled cycle as
+        Darts (the projected arc reversal, and tail j of base dart 4j+t).
+        None unless the permutations act on base darts (_on_base_darts) and
+        those that induce the identity there, which map each fiber to
+        itself, are transitive on the fiber of vertex 0.  The kernel K of the
+        action then has order at least the fiber size, and at most that
+        (group_order_bound), so the group's order is the fiber size times the
+        induced group's.  K is regular on every fiber, so the arcs over one
+        base dart form one K-orbit, and the group's orbits on vertices, edges
+        and arcs are the induced group's orbits on base vertices, base edges
+        and base darts.
+        """
+        action = self._on_base_darts(perms)
+        if action is None:
+            return None
+        induced, reversal = action
+        darts = np.arange(4 * self.n)
+        size = self.fiber_size
+        on_fiber = [
+            np.asarray(perm[:size])
+            for perm, on_base in zip(perms, induced)
+            if np.array_equal(on_base, darts)
+        ]
+        if generator_labels(on_fiber, size).any():
+            return None
+        return induced, Darts(reversal, darts // 4)
 
 
 def build_cover(g: FpPoly, n: int, eps: int) -> CoverGraph:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,7 +66,7 @@ def orbit_labels(table: np.ndarray) -> np.ndarray:
         label = low
 
 
-def _generator_labels(gens, degree: int) -> np.ndarray:
+def generator_labels(gens, degree: int) -> np.ndarray:
     """Orbit labels of the group generated by the permutations."""
     images = np.array([*gens, *map(perm_inverse, gens)], dtype=np.int32)
     return orbit_labels(images.reshape(len(images), degree).T)
@@ -321,26 +322,38 @@ def arc_action(adj):
     return arc_perm, reversal
 
 
-def transitivity_profile(group, graph) -> dict:
-    """Orbit counts of a vertex group on vertices, edges and arcs of a graph.
+class Darts(NamedTuple):
+    """A graph given by its darts: reversal[d] is the reverse of dart d, and
+    tails[d] the vertex dart d leaves."""
 
-    Accepts a PermGroup or a plain generator list, and a CoverGraph or
-    adjacency lists.  Edge orbits are the orbits of the arc group extended
-    by the arc reversal.  Raises NotAnAutomorphism when a generator breaks
-    an edge.
+    reversal: np.ndarray
+    tails: np.ndarray
+
+
+def dart_profile(perms, darts: Darts) -> dict:
+    """Orbit counts on vertices, edges and arcs of the group generated by
+    permutations of a graph's darts.
+
+    Arc orbits are the dart orbits, and edge orbits those of the group
+    extended by the reversal.  A generator sends the tail of a dart to the
+    tail of its image, which is its action on the vertices; every vertex up
+    to the largest tail must be the tail of a dart.
     """
-    gens = group.gens if isinstance(group, PermGroup) else group
-    adj = getattr(graph, "dart_ends", graph)
-    arc_perm, reversal = arc_action(adj)
-    arc_gens = [arc_perm(g) for g in gens]
+    tails = np.asarray(darts.tails)
+    vertices = int(tails.max(initial=-1)) + 1
+    on_vertices = []
+    for perm in perms:
+        image = np.empty(vertices, dtype=np.int32)
+        image[tails] = tails[perm]
+        on_vertices.append(image)
 
-    def count(perms, degree):
-        label = _generator_labels(perms, degree)
+    def count(gens, degree):
+        label = generator_labels(gens, degree)
         return int(np.count_nonzero(label == np.arange(degree)))
 
-    v_orbits = count(gens, len(adj))
-    e_orbits = count(arc_gens + [reversal], len(reversal))
-    a_orbits = count(arc_gens, len(reversal))
+    v_orbits = count(on_vertices, vertices)
+    e_orbits = count([*perms, darts.reversal], len(tails))
+    a_orbits = count(perms, len(tails))
     return {
         "vertex_orbits": v_orbits,
         "edge_orbits": e_orbits,
@@ -349,6 +362,28 @@ def transitivity_profile(group, graph) -> dict:
         "edge_transitive": e_orbits == 1,
         "arc_transitive": a_orbits == 1,
     }
+
+
+def transitivity_profile(group, graph) -> dict:
+    """Orbit counts of a group on vertices, edges and arcs of a graph.
+
+    Accepts a PermGroup or a plain generator list.  On Darts the generators
+    permute darts, as they do on a cover's quotient; on a CoverGraph or
+    adjacency lists they permute vertices, and are mapped to darts through
+    arc_action.  Raises NotAnAutomorphism when a generator breaks an edge,
+    and ValueError when a vertex has no neighbour, since orbits are counted
+    on darts.
+    """
+    gens = group.gens if isinstance(group, PermGroup) else group
+    if isinstance(graph, Darts):
+        return dart_profile(gens, graph)
+    adj = getattr(graph, "dart_ends", graph)
+    degrees = [len(nbrs) for nbrs in adj]
+    if not all(degrees):
+        raise ValueError("a vertex without neighbours has no dart to count it by")
+    arc_perm, reversal = arc_action(adj)
+    tails = np.repeat(np.arange(len(adj)), degrees)
+    return dart_profile([arc_perm(g) for g in gens], Darts(reversal, tails))
 
 
 # -- full automorphism group via individualization and refinement -----------
@@ -477,7 +512,7 @@ class _AutSearch:
                 if labelled != len(self.gens):
                     labelled = len(self.gens)
                     fixed = [g for g in self.gens if np.array_equal(g[prefix], prefix)]
-                    label = _generator_labels(fixed, len(col))
+                    label = generator_labels(fixed, len(col))
                 if label[v] in label[tried]:
                     continue
             tried.append(v)

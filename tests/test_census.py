@@ -332,3 +332,52 @@ def test_cli_exit_code_on_mismatch(monkeypatch, tmp_path):
     )
     assert code == 2
     assert "forced for the test" in out.read_text()
+
+
+def test_rows_without_deck_translations_are_not_certified(monkeypatch, tmp_path):
+    # Without the translations no generator acts trivially on the base darts,
+    # so nothing proves the kernel fills a fiber: the row names that check
+    # instead of reporting an order.
+    real = census_mod.lifted_generators
+
+    def lifts_only(report, cover):
+        return real(report, cover)[: -cover.r]
+
+    monkeypatch.setattr(census_mod, "lifted_generators", lifts_only)
+    out = tmp_path / "rows.jsonl"
+    code = main(
+        ["census", "--p", "7", "--n", "3", "--eps", "0", "--verify", "orbits",
+         "--format", "jsonl", "--out", str(out)]
+    )
+    assert code == 2
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(rows) == 7
+    for row in rows:
+        assert row["mismatch"] == (
+            "lifted group not certified: the lifts acting trivially on base "
+            "darts are not transitive on a fiber"
+        )
+        assert row["verified_order"] is None and row["arc_orbits"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--p", "3,5", "--n", "3..6", "--verify", "none"],
+        ["export", "--p", "7", "--n", "3", "--eps", "0", "--g", "1"],
+    ],
+    ids=["census", "export"],
+)
+def test_cli_exits_quietly_when_the_reader_goes_away(argv):
+    # As in `dccover ... | head -1`: the read end closes before the output is
+    # written, and the command ends with status 1 and no traceback.
+    src = str(Path(census_mod.__file__).resolve().parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-m", "dccover.census", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=120) == 1
+    assert err == ""

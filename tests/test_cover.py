@@ -140,10 +140,11 @@ def test_reverse_tracks_invert_each_other():
     assert (ends[ends, [2, 3, 0, 1]] == np.arange(cov.order)[:, None]).all()
 
 
-def small_covers(max_order=1000):
-    """Report and cover of every divisor over p 3,5,7, n 3..5 up to max_order vertices."""
+def small_covers(max_order=1000, ns=range(3, 6)):
+    """Report and cover of every divisor over p 3,5,7 and the lengths ns
+    (3..5 by default) up to max_order vertices."""
     for p in (3, 5, 7):
-        for n in range(3, 6):
+        for n in ns:
             for eps in (0, 1):
                 for g in modulus_divisors(n, eps, p):
                     info = divisor_info(g, n, eps)
@@ -315,6 +316,49 @@ def test_certified_order_stops_at_the_bound_on_a_large_cover():
     order = PermGroup(gens, upper_bound=bound).order()
     assert order == bound == report.lifted_order == 75000
     assert time.perf_counter() - start < 10
+
+
+# -- the lifted group on the 4n base darts --------------------------------------
+
+
+def test_base_action_matches_the_degree_n_group_on_sweep_covers():
+    # The degree-N chain gets the order read on base darts as its upper
+    # bound. It stops only once its orbit product reaches that order,
+    # finishes at the true order below it and raises above it, so equality
+    # is exact.  Lifts with fewer translations give other orbit counts.
+    checked = 0
+    for report, cov in small_covers(2500, range(3, 9)):
+        gens = lifted_generators(report, cov)
+        trans = cov.translations()
+        for perms in (gens, trans, gens[:1] + trans):
+            on_darts, base = cov.base_action(perms)
+            order = PermGroup(on_darts, 4 * cov.n).order() * cov.fiber_size
+            assert PermGroup(perms, upper_bound=order).order() == order
+            assert transitivity_profile(on_darts, base) == transitivity_profile(perms, cov)
+        checked += 1
+    assert checked == 224
+
+
+def test_base_action_refuses_what_it_cannot_certify():
+    cov = build_cover(FpPoly(7, (5, 1)), 3, 0)
+    assert cov.r == 2
+    gens = lifted_generators(lifting_report(divisor_info(cov.g, 3, 0)), cov)
+    lifts, trans = gens[: -cov.r], gens[-cov.r :]
+    assert cov.base_action(gens) is not None
+    # The lifts act on base darts, but none acts trivially there, and one
+    # translation moves vertex 0 along a line of its 49-point fiber only.
+    for perms in (lifts, lifts + trans[:1]):
+        assert cov.group_order_bound(perms) is not None
+        assert cov.base_action(perms) is None
+    swap = list(range(cov.order))
+    swap[0], swap[1] = 1, 0
+    assert cov.base_action(gens + [swap]) is None  # not an automorphism
+    # |Aut| is 8 times the lifted order here: some automorphisms mix fibers.
+    mixed = build_cover(FpPoly(7, (2, 4, 1)), 3, 0)
+    aut = automorphism_group(mixed)
+    assert mixed.base_action(aut.gens + mixed.translations()) is None
+    split = CoverGraph(GeneratorMatrix(5, ((1, 1, 1), (0, 0, 0))))
+    assert split.base_action(split.translations()) is None  # disconnected
 
 
 # -- extremal families ----------------------------------------------------------

@@ -334,6 +334,12 @@ def test_profile_matches_plain_closure_on_a_ragged_graph(gens):
     assert profile_counts(gens, path) == closure_orbit_counts(gens, path)
 
 
+def test_profile_needs_a_dart_at_every_vertex():
+    # Orbits are counted on darts, which cannot see an isolated vertex.
+    with pytest.raises(ValueError, match="no dart"):
+        transitivity_profile([[1, 0, 2]], [[1], [0], []])
+
+
 def test_profile_rejects_non_automorphism():
     bad = [1, 2, 3, 0]
     path = [[1], [0, 2], [1, 3], [2]]
