@@ -119,11 +119,16 @@ def _census_row(task) -> CensusRow:
     return CensusRow(**row)
 
 
-def _check_sweep(ps, ns) -> None:
-    """Raise ValueError unless the sweep has a p and an n, every p is an odd
-    prime and every n is at least 3."""
+def _check_sweep(ps, ns, eps_values) -> None:
+    """Raise ValueError unless the sweep has a p, an n and an eps, every p is
+    an odd prime, every n is at least 3 and every eps is 0 or 1."""
     if not ps or not ns:
         raise ValueError("the sweep needs at least one p and one n")
+    if not eps_values:
+        raise ValueError("the sweep needs at least one eps")
+    for eps in eps_values:
+        if eps not in (0, 1):
+            raise ValueError(f"eps={eps} is neither 0 nor 1")
     for p in ps:
         if not is_odd_prime(p):
             raise ValueError(f"p={p} is not an odd prime")
@@ -145,19 +150,20 @@ def census_rows(
     """All census rows for the sweep, in a deterministic order.
 
     Rows are ordered by (n, p, eps) and then by divisor degree and
-    coefficients.  Rows whose cover is larger than max_order skip the
-    permutation checks but still carry the predicted values.  The aut tier
-    searches covers of up to aut_limit vertices, max_order by default.
+    coefficients, and a value given twice gives its rows once.  Rows whose
+    cover is larger than max_order skip the permutation checks but still
+    carry the predicted values.  The aut tier searches covers of up to
+    aut_limit vertices, max_order by default.
     """
     if verify not in VERIFY_TIERS:
         raise ValueError(f"verify must be one of {VERIFY_TIERS}")
-    _check_sweep(ps, ns)
+    _check_sweep(ps, ns, eps_values)
     if aut_limit is None:
         aut_limit = max_order
     tasks = []
-    for n in sorted(ns):
-        for p in sorted(ps):
-            for eps in sorted(eps_values):
+    for n in sorted(set(ns)):
+        for p in sorted(set(ps)):
+            for eps in sorted(set(eps_values)):
                 for g in modulus_divisors(n, eps, p):
                     tasks.append(
                         (p, n, eps, g, verify, max_order, aut_limit, time_budget)
@@ -313,7 +319,7 @@ def _run(parser, args) -> int:
     """Carry out a parsed command; its exit status."""
     if args.command == "census":
         try:
-            _check_sweep(args.p, args.n)
+            _check_sweep(args.p, args.n, args.eps)
         except ValueError as err:
             parser.error(str(err))
         with _open_out(parser, args.out) as stream:

@@ -157,11 +157,12 @@ class CoverGraph:
         keep = tails < heads
         return sorted(zip(tails[keep].tolist(), heads[keep].tolist()))
 
-    def translations(self) -> list[list[int]]:
-        """Vertex permutations adding each standard basis vector to fibers."""
+    def translations(self) -> list[np.ndarray]:
+        """Vertex permutations, as int32 image arrays, adding each standard
+        basis vector to fibers."""
         layers = (np.arange(self.n) * self.fiber_size)[:, None]
         shifts = self._fiber_add(np.eye(self.r, dtype=np.int64))
-        return [(layers + shift).ravel().tolist() for shift in shifts]
+        return [(layers + shift).ravel().astype(np.int32) for shift in shifts]
 
     def is_connected(self) -> bool:
         return self._connected

@@ -99,7 +99,7 @@ class Inconsistent:
 
 def lift_by_propagation(
     aut: DCAut, cover: CoverGraph, base_image: int | None = None
-) -> list[int] | Inconsistent:
+) -> np.ndarray | Inconsistent:
     """Lift the automorphism to a vertex permutation, or return a witness.
 
     The image of vertex 0 determines everything else: each dart at a
@@ -107,7 +107,8 @@ def lift_by_propagation(
     dart, which forces the image of the far endpoint.  Propagation runs
     level by level from vertex 0 and either completes the permutation or
     forces a conflicting image on some vertex.  By default vertex 0 goes to
-    the zero fiber point over its base image.
+    the zero fiber point over its base image.  The lift is an int32 image
+    array.
     """
     n = cover.n
     if aut.n != n:
@@ -138,7 +139,7 @@ def lift_by_propagation(
         raise AssertionError("propagation did not reach every vertex")
     if not np.array_equal(np.sort(image), np.arange(cover.order)):
         raise AssertionError("propagation produced a non-bijective map")
-    return image.tolist()
+    return image.astype(np.int32)
 
 
 # -- the lifting subgroup of a divisor ------------------------------------------
@@ -211,7 +212,7 @@ def lifting_report(info: DivisorInfo) -> LiftReport:
     )
 
 
-def lifted_generators(report: LiftReport, cover: CoverGraph) -> list[list[int]]:
+def lifted_generators(report: LiftReport, cover: CoverGraph) -> list[np.ndarray]:
     """Vertex permutations generating the full preimage of the base group.
 
     One propagation lift per base generator plus the fiber translations;
@@ -222,7 +223,7 @@ def lifted_generators(report: LiftReport, cover: CoverGraph) -> list[list[int]]:
     basis, _ = _code_tables(info.g, info.n, info.eps)
     if cover.p != info.p or not np.array_equal(cover.matrix.rows, basis):
         raise ValueError("cover does not belong to the report's divisor")
-    perms: list[list[int]] = []
+    perms: list[np.ndarray] = []
     for g in report.generators:
         lift = lift_by_propagation(g, cover)
         if isinstance(lift, Inconsistent):

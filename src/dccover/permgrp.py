@@ -153,28 +153,41 @@ class PermGroup:
 
     The chain is built by sifting the generators and then every Schreier
     generator (Seress, Permutation Group Algorithms, 2003, ch. 4).
-    upper_bound, when given, must be a proven upper bound on the group
-    order.  The product of the basic orbit lengths is a lower bound on the
-    order at every step, so the closure stops as soon as it equals
-    upper_bound: equality forces a complete chain, and order() and
-    contains() stay exact.  A loose bound lets the closure finish, and a
-    chain above the bound raises ValueError, since the bound was false.
+    upper_bound and lower_bound, when given, must be proven bounds on the
+    group order.  When they are equal, order() returns that value and
+    builds no chain.  Otherwise the product of the basic orbit lengths is
+    a lower bound on the order at every step, so the closure stops as soon
+    as it equals upper_bound: equality forces a complete chain, and order()
+    and contains() stay exact.  A loose upper bound lets the closure
+    finish.  A chain above upper_bound, or a finished one below
+    lower_bound, raises ValueError, since that bound was false.
     """
 
     def __init__(
-        self, generators, degree: int | None = None, upper_bound: int | None = None
+        self,
+        generators,
+        degree: int | None = None,
+        upper_bound: int | None = None,
+        lower_bound: int | None = None,
     ):
         gens = [np.asarray(g, dtype=np.int32) for g in generators]
         if degree is None:
             if not gens:
                 raise ValueError("degree required when no generators are given")
             degree = len(gens[0])
+        if None not in (lower_bound, upper_bound) and lower_bound > upper_bound:
+            raise ValueError(
+                f"the lower bound {lower_bound} is above the upper bound {upper_bound}"
+            )
         self.degree = degree
         self.gens = [as_perm(g, degree) for g in gens]
         self.upper_bound = upper_bound
+        self.lower_bound = lower_bound
         self._levels: list[_Level] | None = None
 
     def order(self) -> int:
+        if self.lower_bound is not None and self.lower_bound == self.upper_bound:
+            return self.upper_bound
         self._build()
         return self._chain_order()
 
@@ -196,6 +209,12 @@ class PermGroup:
             if residue is not None:
                 self._extend(residue, li)
         self._complete()
+        total = self._chain_order()
+        if self.lower_bound is not None and total < self.lower_bound:
+            self._levels = None
+            raise ValueError(
+                f"the chain closes at order {total}, below the bound {self.lower_bound}"
+            )
 
     def _chain_order(self) -> int:
         return prod(len(lvl.orbit) for lvl in self._levels)
@@ -457,12 +476,16 @@ class _AutSearch:
     child subtree of their deepest common ancestor that holds the earlier
     leaf onto the one that holds this leaf, so the search jumps back to
     that ancestor.
+
+    Until the first leaf, every node lies on its path, and the search notes
+    the size of each such node's target cell for order_bounds.
     """
 
     def __init__(self, table: np.ndarray, deadline: float | None):
         self.table = table
         self.deadline = deadline
         self.gens: list[np.ndarray] = []
+        self.first_cells: list[int] = []
         self.first_inv: list[bytes] = []
         self.first_leaf = None
         self.first_key = None
@@ -476,6 +499,29 @@ class _AutSearch:
         start = np.zeros(len(self.table), dtype=np.int64)
         self._dfs(_refine(self.table, start, 1), [], [], True, "EQ")
         return self
+
+    def order_bounds(self) -> tuple[int, int]:
+        """Proven lower and upper bounds on the order of Aut, from the
+        first path v_1..v_k.
+
+        The found generators that fix v_1..v_(i-1) generate a subgroup of
+        that stabiliser in the group they all generate, so the product over
+        i of the orbit lengths of v_i under them is at most the order of
+        that group.  Refinement is equivariant, so the stabiliser of
+        v_1..v_(i-1) in Aut maps v_i into the i-th target cell, and the
+        stabiliser of the discrete first leaf is trivial: the product of the
+        target-cell sizes bounds the order of Aut.  When the two products
+        meet, the generators found generate all of Aut.
+        """
+        lower = 1
+        fixed = self.gens
+        for v in self.first_path:
+            if not fixed:
+                break
+            label = generator_labels(fixed, len(self.table))
+            lower *= int(np.count_nonzero(label == label[v]))
+            fixed = [g for g in fixed if g[v] == v]
+        return lower, prod(self.first_cells)
 
     def _tick(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -503,6 +549,8 @@ class _AutSearch:
             return self._leaf(col, prefix, inv_path)
         sizes = np.bincount(col)
         target = np.argmin(np.where(sizes > 1, sizes, len(col) + 1))
+        if self.first_leaf is None:
+            self.first_cells.append(int(sizes[target]))
         tried: list[int] = []
         labelled = None
         for v in np.flatnonzero(col == target).tolist():
@@ -582,14 +630,17 @@ def _search(graph, limit: int, time_budget: float | None):
 def automorphism_group(
     graph, limit: int = DEFAULT_ORACLE_LIMIT, time_budget: float | None = None
 ) -> PermGroup:
-    """Full automorphism group, structure-blind, via backtracking refinement."""
+    """Full automorphism group, structure-blind, via backtracking refinement.
+
+    The group carries the search's order bounds (_AutSearch.order_bounds),
+    so its order() builds no stabilizer chain when they meet.
+    """
     adj, search = _search(graph, limit, time_budget)
     arc_perm, _ = arc_action(adj)
     for g in search.gens:
         arc_perm(g)
-    # A cover proves an upper bound on the order of the group found, or None.
-    bound_of = getattr(graph, "group_order_bound", lambda gens: None)
-    return PermGroup(search.gens, len(adj), upper_bound=bound_of(search.gens))
+    lower, upper = search.order_bounds()
+    return PermGroup(search.gens, len(adj), upper_bound=upper, lower_bound=lower)
 
 
 def canonical_form(

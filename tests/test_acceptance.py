@@ -8,6 +8,8 @@ line, and fails on any disagreement or on a blown budget.
 import random
 import time
 
+import numpy as np
+
 from dccover.census import census_rows
 from dccover.cover import build_cover, extremal_cover
 from dccover.dcycle import DCAut
@@ -147,7 +149,7 @@ def test_criterion_4_criterion_equivalence_sweep():
             aut = DCAut(n, rng.randrange(1 << n), rng.randrange(2), rng.randrange(n))
             predicted = lifts_by_invariance(aut, g, n, eps)
             lifted = lift_by_propagation(aut, cover)
-            if isinstance(lifted, list) != predicted:
+            if isinstance(lifted, np.ndarray) != predicted:
                 mismatches.append(
                     f"{tag}: {aut} invariance says {predicted}, propagation disagrees"
                 )
@@ -163,7 +165,7 @@ def test_criterion_4_criterion_equivalence_sweep():
         for v in (1, cover.fiber_size - 1):
             base = aut.vertex_image(0) * cover.fiber_size + v
             other = lift_by_propagation(aut, cover, base)
-            if not isinstance(other, list):
+            if not isinstance(other, np.ndarray):
                 mismatches.append(f"{tag}: {aut} lifts from one basepoint only")
                 continue
             shift = perm_mult(perm_inverse(as_perm(first)), as_perm(other))
@@ -174,7 +176,7 @@ def test_criterion_4_criterion_equivalence_sweep():
         if sample_fail is not None:
             for v in (1, cover.fiber_size - 1):
                 base = sample_fail.vertex_image(0) * cover.fiber_size + v
-                if isinstance(lift_by_propagation(sample_fail, cover, base), list):
+                if isinstance(lift_by_propagation(sample_fail, cover, base), np.ndarray):
                     mismatches.append(
                         f"{tag}: {sample_fail} fails from some basepoints only"
                     )

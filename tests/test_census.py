@@ -126,6 +126,18 @@ def test_time_budget_skips_every_search_without_mismatch():
         assert row.mismatch is None
 
 
+def test_repeated_sweep_values_give_their_rows_once():
+    once = census_rows([3], [3], (0, 1), verify="none")
+    assert len(once) == 6
+    assert census_rows([3, 3], [3], (0, 1), verify="none") == once
+    assert census_rows([3], [3, 3], (0, 1), verify="none") == once
+    assert census_rows([3], [3], (0, 0, 1), verify="none") == once
+    with pytest.raises(ValueError, match="one eps"):
+        census_rows([3], [3], (), verify="none")
+    with pytest.raises(ValueError, match="eps=2"):
+        census_rows([3], [3], (0, 2), verify="none")
+
+
 def test_census_rejects_bad_arguments():
     with pytest.raises(ValueError):
         census_rows([7], [3], (0,), verify="everything")

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -188,9 +189,9 @@ def test_propagation_rejects_a_non_lifting_swap_with_a_witness():
 def test_propagation_lift_is_a_graph_automorphism():
     cov = build_cover(FpPoly(7, (1, 1, 1)), 3, 0)
     lift = lift_by_propagation(DCAut.rotation(3), cov)
-    assert isinstance(lift, list)
+    assert isinstance(lift, np.ndarray)
     transitivity_profile([lift], cov)  # raises if an edge breaks
-    assert sorted(lift) == list(range(cov.order))
+    assert sorted(lift.tolist()) == list(range(cov.order))
 
 
 def test_propagation_base_image_validation():
@@ -208,10 +209,10 @@ def test_propagation_agrees_with_invariance(case, data):
     cov = build_cover(g, n, eps)
     predicted = lifts_by_invariance(aut, g, n, eps)
     got = lift_by_propagation(aut, cov)
-    assert isinstance(got, list) == predicted
+    assert isinstance(got, np.ndarray) == predicted
     if predicted:
         transitivity_profile([got], cov)  # raises if an edge breaks
-        layers = [cov.layer(x) for x in got]
+        layers = [cov.layer(x) for x in got.tolist()]
         assert layers == [aut.vertex_image(cov.layer(v)) for v in range(cov.order)]
 
 
@@ -221,7 +222,7 @@ def test_basepoint_independence():
     tau0 = DCAut.edge_swap(3, 0)
     for v in range(cov.fiber_size):
         base = rot.vertex_image(0) * cov.fiber_size + v
-        assert isinstance(lift_by_propagation(rot, cov, base), list)
+        assert isinstance(lift_by_propagation(rot, cov, base), np.ndarray)
         base = tau0.vertex_image(0) * cov.fiber_size + v
         assert isinstance(lift_by_propagation(tau0, cov, base), Inconsistent)
 

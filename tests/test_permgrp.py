@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dccover import permgrp
+from dccover import cover as cover_module, permgrp
 from dccover.permgrp import (
     NotAnAutomorphism,
     OracleLimit,
@@ -144,6 +144,29 @@ def test_bound_below_the_chain_order_raises():
         G.contains([0, 1, 2, 3, 4, 5, 6])
     with pytest.raises(ValueError):
         G.order()  # a failed build is not kept
+
+
+def test_equal_bounds_give_the_order_without_a_chain():
+    S5 = PermGroup([[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]], upper_bound=120, lower_bound=120)
+    assert S5.order() == 120
+    assert S5._levels is None
+    assert S5.contains([4, 3, 2, 1, 0])  # membership still builds the chain
+    assert S5._levels is not None
+
+
+def test_lower_bound_above_the_upper_bound_raises():
+    with pytest.raises(ValueError):
+        PermGroup([[1, 2, 0]], upper_bound=3, lower_bound=6)
+
+
+def test_false_lower_bound_raises_once_the_chain_closes():
+    # Z7 has order 7: a lower bound of 14 is false, whatever the upper bound.
+    for upper in (None, 21):
+        G = PermGroup([[1, 2, 3, 4, 5, 6, 0]], upper_bound=upper, lower_bound=14)
+        with pytest.raises(ValueError):
+            G.order()
+        assert G._levels is None  # a failed build is not kept
+    assert PermGroup([[1, 2, 0]], upper_bound=6, lower_bound=3).order() == 3
 
 
 def generator_table(gens, degree):
@@ -475,7 +498,9 @@ def test_oracle_on_the_graph_without_vertices(call, expected):
 
 
 def test_bounded_aut_order_matches_the_unbounded_closure():
-    checked = bounded = 0
+    # On every cover of this sweep the search's bounds meet, so order()
+    # builds no chain; the unbounded closure confirms the value.
+    checked = 0
     for p in (3, 5, 7):
         for n in range(3, 6):
             for eps in (0, 1):
@@ -484,11 +509,39 @@ def test_bounded_aut_order_matches_the_unbounded_closure():
                         continue
                     aut = automorphism_group(build_cover(g, n, eps), limit=500)
                     want = PermGroup(aut.gens).order()
-                    assert aut.order() == want, (p, n, eps, g.coeffs)
+                    key = (p, n, eps, g.coeffs)
+                    assert aut.lower_bound == aut.upper_bound == want, key
+                    assert aut.order() == want and aut._levels is None, key
                     checked += 1
-                    bounded += aut.upper_bound is not None
-    # Both paths run: covers whose Aut moves the fibers have no bound.
-    assert 0 < bounded < checked
+    assert checked > 50
+
+
+@pytest.mark.parametrize("coeffs", [(2, 1, 3, 4, 2, 1), (3, 1, 2, 4, 3, 1)])
+def test_aut_order_runs_the_chain_when_the_bounds_differ(coeffs):
+    # On these 30-vertex covers the target cells of the first path multiply
+    # to twice the order the found generators reach, so only the chain can
+    # give the order.  networkx counts 720 automorphisms on each.
+    aut = automorphism_group(build_cover(FpPoly(5, coeffs), 6, 1))
+    assert (aut.lower_bound, aut.upper_bound) == (720, 1440)
+    assert aut.order() == 720
+    assert aut._levels is not None
+
+
+def test_automorphism_group_builds_one_arc_action(monkeypatch):
+    # The generators are checked through one arc table; the order needs no
+    # second one, as the fiber bound of the cover did.
+    calls = []
+    real = permgrp.arc_action
+
+    def counted(adj):
+        calls.append(1)
+        return real(adj)
+
+    monkeypatch.setattr(permgrp, "arc_action", counted)
+    monkeypatch.setattr(cover_module, "arc_action", counted)
+    aut = automorphism_group(build_cover(FpPoly(7, (5, 1)), 3, 0))
+    assert aut.order() == 294
+    assert len(calls) == 1
 
 
 def test_canonical_form_is_relabelling_invariant_on_sweep_covers():
