@@ -39,6 +39,7 @@ from .cover import (
     CoverGraph,
     GeneratorMatrix,
     NonSimpleCover,
+    NotCertified,
     build_cover,
     check_simple,
     extremal_cover,
@@ -73,6 +74,7 @@ __all__ = [
     "LiftReport",
     "NonSimpleCover",
     "NotAnAutomorphism",
+    "NotCertified",
     "OracleLimit",
     "PermGroup",
     "Reflexibility",

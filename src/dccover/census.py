@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
-from .cover import CoverGraph, build_cover
+from .cover import CoverGraph, NotCertified, build_cover
 from .fpoly import FpPoly, is_odd_prime, modulus_divisors
 from .lift import lifted_generators, lifting_report
 from .permgrp import OracleLimit, PermGroup, automorphism_group, transitivity_profile
@@ -80,15 +80,11 @@ def _census_row(task) -> CensusRow:
     mismatches = []
     # The lifted group is certified on the 4n base darts: its order is the
     # induced group's times p^r, and its orbits are the induced group's.
-    action = cover.base_action(gens)
-    if action is None:
-        if cover.group_order_bound(gens) is None:
-            failed = "a lift does not act on the base darts"
-        else:
-            failed = "the lifts acting trivially on base darts are not transitive on a fiber"
-        mismatches.append(f"lifted group not certified: {failed}")
+    try:
+        on_darts, base = cover.base_action(gens)
+    except NotCertified as err:
+        mismatches.append(f"lifted group not certified: {err}")
     else:
-        on_darts, base = action
         group = PermGroup(on_darts, 4 * n)
         row["verified_order"] = group.order() * cover.fiber_size
         if row["verified_order"] != rep.lifted_order:

@@ -19,7 +19,6 @@ from .fpoly import FpPoly, code_modulus, is_odd_prime
 from .permgrp import (
     Darts,
     NotAnAutomorphism,
-    PermGroup,
     arc_action,
     generator_labels,
     orbit_labels,
@@ -32,6 +31,11 @@ class NonSimpleCover(ValueError):
     def __init__(self, column: int):
         super().__init__(f"column {column} is zero, giving parallel edges")
         self.column = column
+
+
+class NotCertified(ValueError):
+    """Vertex permutations whose action on the base darts does not
+    determine the group they generate; the message names the failed check."""
 
 
 @dataclass(frozen=True)
@@ -171,75 +175,54 @@ class CoverGraph:
     def _connected(self) -> bool:
         return not orbit_labels(self.dart_ends).any()
 
-    def _on_base_darts(self, perms):
-        """The permutations of the 4n base darts induced by vertex
-        permutations, and the projected arc reversal.
+    def base_action(self, perms) -> tuple[list[np.ndarray], Darts]:
+        """The action on the 4n base darts of the group G that vertex
+        permutations generate, which determines G.
 
-        None unless the cover is connected, every permutation maps darts to
-        darts, sending all darts over one base dart to darts over one base
-        dart, and the arc reversal projects to base darts too.  Arc 4u+t lies
-        over base dart 4(u // fiber_size) + t, in the numbering of
-        DCAut.arc_perm.
+        Returns the induced base-dart permutations and the doubled cycle as
+        Darts (the projected arc reversal, and tail j of base dart 4j+t).
+        Arc 4u+t lies over base dart 4(u // fiber_size) + t, in the
+        numbering of DCAut.arc_perm.
+
+        Raises NotCertified, naming the check that failed, unless the cover
+        is connected, every permutation maps darts to darts, sending all
+        darts over one base dart to darts over one base dart, the arc
+        reversal projects to base darts too, and the permutations that
+        induce the identity there, which map each fiber to itself, are
+        transitive on the fiber of vertex 0.
+
+        Why that determines G.  An element of the kernel K of the action
+        that fixes a vertex fixes its four darts, which lie over four
+        distinct base darts, so it fixes the four neighbours and, by
+        connectivity, every vertex.  K is therefore semiregular on a fiber,
+        and transitive on the fiber of vertex 0 by the last check, so
+        |K| is the fiber size and |G| the fiber size times the induced
+        group's order.  K is regular on every fiber, so the arcs over one
+        base dart form one K-orbit, and G's orbits on vertices, edges and
+        arcs are the induced group's orbits on base vertices, base edges
+        and base darts.
         """
         if not self.is_connected():
-            return None
+            raise NotCertified("the cover is disconnected")
         arc_perm, reversal = arc_action(self.dart_ends)
         base = (np.arange(self.order)[:, None] // self.fiber_size * 4 + np.arange(4)).ravel()
 
-        def project(arcs):
+        def project(arcs, what):
             image = base[arcs]
             on_base = np.empty(4 * self.n, dtype=np.int32)
             on_base[base] = image
-            return on_base if np.array_equal(on_base[base], image) else None
+            if not np.array_equal(on_base[base], image):
+                raise NotCertified(f"{what} does not act on the base darts")
+            return on_base
 
         induced = []
         for perm in perms:
             try:
-                on_base = project(arc_perm(perm))
-            except NotAnAutomorphism:
-                return None
-            if on_base is None:
-                return None
-            induced.append(on_base)
-        on_reversal = project(reversal)
-        return None if on_reversal is None else (induced, on_reversal)
-
-    def group_order_bound(self, perms) -> int | None:
-        """Upper bound on the order of the group the vertex permutations generate.
-
-        None unless the permutations act on the 4n base darts
-        (_on_base_darts).  A kernel element of that action that fixes a
-        vertex fixes its four darts, which lie over four distinct base darts,
-        so it fixes the four neighbours and, by connectivity, every vertex.
-        The kernel is therefore semiregular on a fiber, and the order is at
-        most the order of the induced group on base darts times the fiber
-        size.
-        """
-        action = self._on_base_darts(perms)
-        if action is None:
-            return None
-        return PermGroup(action[0], 4 * self.n).order() * self.fiber_size
-
-    def base_action(self, perms) -> tuple[list[np.ndarray], Darts] | None:
-        """The action on the 4n base darts of the group that vertex
-        permutations generate, when it determines that group.
-
-        Returns the induced base-dart permutations and the doubled cycle as
-        Darts (the projected arc reversal, and tail j of base dart 4j+t).
-        None unless the permutations act on base darts (_on_base_darts) and
-        those that induce the identity there, which map each fiber to
-        itself, are transitive on the fiber of vertex 0.  The kernel K of the
-        action then has order at least the fiber size, and at most that
-        (group_order_bound), so the group's order is the fiber size times the
-        induced group's.  K is regular on every fiber, so the arcs over one
-        base dart form one K-orbit, and the group's orbits on vertices, edges
-        and arcs are the induced group's orbits on base vertices, base edges
-        and base darts.
-        """
-        action = self._on_base_darts(perms)
-        if action is None:
-            return None
-        induced, reversal = action
+                arcs = arc_perm(perm)
+            except NotAnAutomorphism as err:
+                raise NotCertified(f"a lift is not an automorphism: {err}") from None
+            induced.append(project(arcs, "a lift"))
+        on_reversal = project(reversal, "the arc reversal")
         darts = np.arange(4 * self.n)
         size = self.fiber_size
         on_fiber = [
@@ -248,8 +231,10 @@ class CoverGraph:
             if np.array_equal(on_base, darts)
         ]
         if generator_labels(on_fiber, size).any():
-            return None
-        return induced, Darts(reversal, darts // 4)
+            raise NotCertified(
+                "the lifts acting trivially on base darts are not transitive on a fiber"
+            )
+        return induced, Darts(on_reversal, darts // 4)
 
 
 def build_cover(g: FpPoly, n: int, eps: int) -> CoverGraph:

@@ -349,16 +349,31 @@ class Darts(NamedTuple):
     tails: np.ndarray
 
 
-def dart_profile(perms, darts: Darts) -> dict:
-    """Orbit counts on vertices, edges and arcs of the group generated by
-    permutations of a graph's darts.
+def transitivity_profile(group, graph) -> dict:
+    """Orbit counts of a group on vertices, edges and arcs of a graph.
+
+    Accepts a PermGroup or a plain generator list.  On Darts the generators
+    permute darts, as they do on a cover's quotient; on a CoverGraph or
+    adjacency lists they permute vertices, and are mapped to darts through
+    arc_action.  Raises NotAnAutomorphism when a generator breaks an edge,
+    and ValueError when a vertex has no neighbour, since orbits are counted
+    on darts.
 
     Arc orbits are the dart orbits, and edge orbits those of the group
     extended by the reversal.  A generator sends the tail of a dart to the
-    tail of its image, which is its action on the vertices; every vertex up
-    to the largest tail must be the tail of a dart.
+    tail of its image, which is its action on the vertices; on Darts, every
+    vertex up to the largest tail must be the tail of a dart.
     """
-    tails = np.asarray(darts.tails)
+    perms = group.gens if isinstance(group, PermGroup) else group
+    if not isinstance(graph, Darts):
+        adj = getattr(graph, "dart_ends", graph)
+        degrees = [len(nbrs) for nbrs in adj]
+        if not all(degrees):
+            raise ValueError("a vertex without neighbours has no dart to count it by")
+        arc_perm, reversal = arc_action(adj)
+        perms = [arc_perm(g) for g in perms]
+        graph = Darts(reversal, np.repeat(np.arange(len(adj)), degrees))
+    tails = np.asarray(graph.tails)
     vertices = int(tails.max(initial=-1)) + 1
     on_vertices = []
     for perm in perms:
@@ -371,7 +386,7 @@ def dart_profile(perms, darts: Darts) -> dict:
         return int(np.count_nonzero(label == np.arange(degree)))
 
     v_orbits = count(on_vertices, vertices)
-    e_orbits = count([*perms, darts.reversal], len(tails))
+    e_orbits = count([*perms, graph.reversal], len(tails))
     a_orbits = count(perms, len(tails))
     return {
         "vertex_orbits": v_orbits,
@@ -381,28 +396,6 @@ def dart_profile(perms, darts: Darts) -> dict:
         "edge_transitive": e_orbits == 1,
         "arc_transitive": a_orbits == 1,
     }
-
-
-def transitivity_profile(group, graph) -> dict:
-    """Orbit counts of a group on vertices, edges and arcs of a graph.
-
-    Accepts a PermGroup or a plain generator list.  On Darts the generators
-    permute darts, as they do on a cover's quotient; on a CoverGraph or
-    adjacency lists they permute vertices, and are mapped to darts through
-    arc_action.  Raises NotAnAutomorphism when a generator breaks an edge,
-    and ValueError when a vertex has no neighbour, since orbits are counted
-    on darts.
-    """
-    gens = group.gens if isinstance(group, PermGroup) else group
-    if isinstance(graph, Darts):
-        return dart_profile(gens, graph)
-    adj = getattr(graph, "dart_ends", graph)
-    degrees = [len(nbrs) for nbrs in adj]
-    if not all(degrees):
-        raise ValueError("a vertex without neighbours has no dart to count it by")
-    arc_perm, reversal = arc_action(adj)
-    tails = np.repeat(np.arange(len(adj)), degrees)
-    return dart_profile([arc_perm(g) for g in gens], Darts(reversal, tails))
 
 
 # -- full automorphism group via individualization and refinement -----------
@@ -453,14 +446,14 @@ def _refine(table: np.ndarray, col: np.ndarray, count: int):
         count = grown
 
 
-def _common_depth(path_a: list[int], path_b: list[int]) -> int:
-    """Length of the longest common prefix of two search paths."""
-    depth = 0
-    for a, b in zip(path_a, path_b):
-        if a != b:
-            break
-        depth += 1
-    return depth
+class _Leaf(NamedTuple):
+    """A leaf of the search: the node invariants along its path, its
+    discrete colouring, the leaf key and the vertices individualised."""
+
+    inv: list[bytes]
+    lab: np.ndarray
+    key: bytes
+    path: list[int]
 
 
 class _AutSearch:
@@ -486,14 +479,8 @@ class _AutSearch:
         self.deadline = deadline
         self.gens: list[np.ndarray] = []
         self.first_cells: list[int] = []
-        self.first_inv: list[bytes] = []
-        self.first_leaf = None
-        self.first_key = None
-        self.first_path: list[int] = []
-        self.best_inv: list[bytes] = []
-        self.best_leaf = None
-        self.best_key = None
-        self.best_path: list[int] = []
+        self.first: _Leaf | None = None
+        self.best: _Leaf | None = None
 
     def run(self) -> "_AutSearch":
         start = np.zeros(len(self.table), dtype=np.int64)
@@ -515,7 +502,7 @@ class _AutSearch:
         """
         lower = 1
         fixed = self.gens
-        for v in self.first_path:
+        for v in self.first.path:
             if not fixed:
                 break
             label = generator_labels(fixed, len(self.table))
@@ -533,23 +520,23 @@ class _AutSearch:
         col, count, inv = node
         inv_path = inv_path + [inv]
         depth = len(inv_path) - 1
-        if on_first and self.first_leaf is not None:
-            if depth >= len(self.first_inv) or self.first_inv[depth] != inv:
+        if on_first and self.first is not None:
+            if depth >= len(self.first.inv) or self.first.inv[depth] != inv:
                 on_first = False
-        if best_cmp == "EQ" and self.best_leaf is not None:
-            if depth >= len(self.best_inv):
+        if best_cmp == "EQ" and self.best is not None:
+            if depth >= len(self.best.inv):
                 best_cmp = "GT"
-            elif inv > self.best_inv[depth]:
+            elif inv > self.best.inv[depth]:
                 best_cmp = "GT"
-            elif inv < self.best_inv[depth]:
+            elif inv < self.best.inv[depth]:
                 best_cmp = "LT"
-        if self.best_leaf is not None and best_cmp == "LT" and not on_first:
+        if self.best is not None and best_cmp == "LT" and not on_first:
             return None
         if count == len(col):
             return self._leaf(col, prefix, inv_path)
         sizes = np.bincount(col)
         target = np.argmin(np.where(sizes > 1, sizes, len(col) + 1))
-        if self.first_leaf is None:
+        if self.first is None:
             self.first_cells.append(int(sizes[target]))
         tried: list[int] = []
         labelled = None
@@ -576,39 +563,32 @@ class _AutSearch:
         """Take in a leaf; when it matches the first or the best leaf, the
         depth of their deepest common ancestor."""
         key = _sorted_rows(self.table, lab)[perm_inverse(lab)].tobytes()
-        if self.first_leaf is None:
-            self.first_inv = list(inv_path)
-            self.first_leaf = lab
-            self.first_key = key
-            self.first_path = path
-            self.best_inv = list(inv_path)
-            self.best_leaf = lab
-            self.best_key = key
-            self.best_path = path
+        leaf = _Leaf(inv_path, lab, key, path)
+        if self.first is None:
+            self.first = self.best = leaf
             return None
-        if key == self.first_key:
-            self._record(self.first_leaf, lab)
-            return _common_depth(self.first_path, path)
-        if (inv_path, key) > (self.best_inv, self.best_key):
-            self.best_inv = list(inv_path)
-            self.best_leaf = lab
-            self.best_key = key
-            self.best_path = path
-        elif inv_path == self.best_inv and key == self.best_key:
-            self._record(self.best_leaf, lab)
-            return _common_depth(self.best_path, path)
+        if key == self.first.key:
+            return self._record(self.first, leaf)
+        if (inv_path, key) > (self.best.inv, self.best.key):
+            self.best = leaf
+        elif (inv_path, key) == (self.best.inv, self.best.key):
+            return self._record(self.best, leaf)
         return None
 
-    def _record(self, lab_a, lab_b):
-        """Automorphism sending each vertex of labeling a to its twin in b."""
-        inv_b = perm_inverse(lab_b)
-        g = inv_b[lab_a]
-        if np.array_equal(g, np.arange(len(g))):
-            return
-        for known in self.gens:
-            if np.array_equal(known, g):
-                return
-        self.gens.append(g)
+    def _record(self, a: _Leaf, b: _Leaf) -> int:
+        """Keep the automorphism sending each vertex of leaf a's labelling
+        to its twin in leaf b's; the depth of their deepest common ancestor."""
+        g = perm_inverse(b.lab)[a.lab]
+        if not np.array_equal(g, np.arange(len(g))) and not any(
+            np.array_equal(known, g) for known in self.gens
+        ):
+            self.gens.append(g)
+        depth = 0
+        for u, v in zip(a.path, b.path):
+            if u != v:
+                break
+            depth += 1
+        return depth
 
 
 DEFAULT_ORACLE_LIMIT = 256
@@ -649,7 +629,7 @@ def canonical_form(
     """Vertex count and canonical key: equal for two graphs exactly when
     isomorphic."""
     adj, search = _search(graph, limit, time_budget)
-    return (len(adj), search.best_key)
+    return (len(adj), search.best.key)
 
 
 def are_isomorphic(graph_a, graph_b, limit: int = DEFAULT_ORACLE_LIMIT) -> bool:

@@ -22,6 +22,7 @@ from dccover.census import (
     _parse_eps,
     _parse_ints,
 )
+import dccover.cover as cover_module
 from dccover.cover import build_cover
 from dccover.fpoly import FpPoly
 
@@ -349,13 +350,20 @@ def test_cli_exit_code_on_mismatch(monkeypatch, tmp_path):
 def test_rows_without_deck_translations_are_not_certified(monkeypatch, tmp_path):
     # Without the translations no generator acts trivially on the base darts,
     # so nothing proves the kernel fills a fiber: the row names that check
-    # instead of reporting an order.
+    # instead of reporting an order, from the one arc table it certified with.
     real = census_mod.lifted_generators
+    real_arc_action = cover_module.arc_action
+    arc_tables = []
 
     def lifts_only(report, cover):
         return real(report, cover)[: -cover.r]
 
+    def counted(adj):
+        arc_tables.append(1)
+        return real_arc_action(adj)
+
     monkeypatch.setattr(census_mod, "lifted_generators", lifts_only)
+    monkeypatch.setattr(cover_module, "arc_action", counted)
     out = tmp_path / "rows.jsonl"
     code = main(
         ["census", "--p", "7", "--n", "3", "--eps", "0", "--verify", "orbits",
@@ -370,6 +378,7 @@ def test_rows_without_deck_translations_are_not_certified(monkeypatch, tmp_path)
             "darts are not transitive on a fiber"
         )
         assert row["verified_order"] is None and row["arc_orbits"] is None
+    assert len(arc_tables) == len(rows)
 
 
 @pytest.mark.parametrize(

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dccover
+import dccover.cover as cover_module
 from dccover.cover import (
     CoverGraph,
     GeneratorMatrix,
     NonSimpleCover,
+    NotCertified,
     build_cover,
     check_simple,
     extremal_cover,
@@ -260,25 +262,18 @@ def test_connectivity_checks_survive_optimized_mode():
 # -- certified lifted-group orders ----------------------------------------------
 
 
-def test_order_bound_rejects_maps_off_the_fibers():
+def certified_order(cov, perms):
+    """The order of the group the permutations generate, read on base darts."""
+    on_darts, _ = cov.base_action(perms)
+    return PermGroup(on_darts, 4 * cov.n).order() * cov.fiber_size
+
+
+def test_certified_order_is_the_lifted_order_below_aut():
     cov = build_cover(FpPoly(7, (2, 4, 1)), 3, 0)
     lifted = lifted_generators(lifting_report(divisor_info(cov.g, 3, 0)), cov)
-    assert cov.group_order_bound(lifted) == 42
+    assert certified_order(cov, lifted) == 42
     # |Aut| = 336 is 8 times the lifted order: some automorphisms mix fibers.
-    aut = automorphism_group(cov)
-    assert aut.order() == 336
-    assert cov.group_order_bound(aut.gens) is None
-    swap = list(range(cov.order))
-    swap[0], swap[1] = 1, 0
-    assert cov.group_order_bound([swap]) is None  # not an automorphism
-    assert cov.group_order_bound([]) == cov.fiber_size
-
-
-def test_order_bound_needs_a_connected_cover():
-    # The second matrix row is zero, so the second fiber digit never moves.
-    split = CoverGraph(GeneratorMatrix(5, ((1, 1, 1), (0, 0, 0))))
-    assert not split.is_connected()
-    assert split.group_order_bound(split.translations()[:1]) is None
+    assert automorphism_group(cov).order() == 336
 
 
 def test_certified_order_matches_the_reference_chain():
@@ -286,7 +281,7 @@ def test_certified_order_matches_the_reference_chain():
     checked = 0
     for report, cov in small_covers():
         gens = lifted_generators(report, cov)
-        bound = cov.group_order_bound(gens)
+        bound = certified_order(cov, gens)
         certified = PermGroup(gens, upper_bound=bound)
         reference = PermGroup(gens)
         assert certified.order() == reference.order() == bound
@@ -311,7 +306,7 @@ def test_certified_order_stops_at_the_bound_on_a_large_cover():
     report = lifting_report(divisor_info(g, 6, 0))
     cov = build_cover(g, 6, 0)
     gens = lifted_generators(report, cov)
-    bound = cov.group_order_bound(gens)
+    bound = certified_order(cov, gens)
     assert cov.order == 18750
     order = PermGroup(gens, upper_bound=bound).order()
     assert order == bound == report.lifted_order == 75000
@@ -339,26 +334,56 @@ def test_base_action_matches_the_degree_n_group_on_sweep_covers():
     assert checked == 224
 
 
-def test_base_action_refuses_what_it_cannot_certify():
+NOT_TRANSITIVE = "the lifts acting trivially on base darts are not transitive on a fiber"
+REFUSALS = {
+    "disconnected": "the cover is disconnected",
+    "swapped-pair": "a lift is not an automorphism: edge (0,54) is not preserved",
+    "mixes-fibers": "a lift does not act on the base darts",
+    "broken-reversal": "the arc reversal does not act on the base darts",
+    "lifts-only": NOT_TRANSITIVE,
+    "one-translation": NOT_TRANSITIVE,
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_base_action_refuses_what_it_cannot_certify(case, monkeypatch):
     cov = build_cover(FpPoly(7, (5, 1)), 3, 0)
     assert cov.r == 2
     gens = lifted_generators(lifting_report(divisor_info(cov.g, 3, 0)), cov)
     lifts, trans = gens[: -cov.r], gens[-cov.r :]
-    assert cov.base_action(gens) is not None
-    # The lifts act on base darts, but none acts trivially there, and one
-    # translation moves vertex 0 along a line of its 49-point fiber only.
-    for perms in (lifts, lifts + trans[:1]):
-        assert cov.group_order_bound(perms) is not None
-        assert cov.base_action(perms) is None
-    swap = list(range(cov.order))
-    swap[0], swap[1] = 1, 0
-    assert cov.base_action(gens + [swap]) is None  # not an automorphism
-    # |Aut| is 8 times the lifted order here: some automorphisms mix fibers.
-    mixed = build_cover(FpPoly(7, (2, 4, 1)), 3, 0)
-    aut = automorphism_group(mixed)
-    assert mixed.base_action(aut.gens + mixed.translations()) is None
-    split = CoverGraph(GeneratorMatrix(5, ((1, 1, 1), (0, 0, 0))))
-    assert split.base_action(split.translations()) is None  # disconnected
+    cov.base_action(gens)  # lifts and translations together are certified
+    swap = np.arange(cov.order)
+    swap[[0, 1]] = [1, 0]
+    if case == "disconnected":
+        # The second matrix row is zero, so the second fiber digit never moves.
+        cov = CoverGraph(GeneratorMatrix(5, ((1, 1, 1), (0, 0, 0))))
+        perms = cov.translations()
+    elif case == "mixes-fibers":
+        # |Aut| is 8 times the lifted order here.
+        cov = build_cover(FpPoly(7, (2, 4, 1)), 3, 0)
+        perms = automorphism_group(cov).gens
+    elif case == "broken-reversal":
+        # Swapping the reverses of the first two arcs at vertex 0 sends them
+        # over other base darts than the reverses of their fiber's twins.
+        real = cover_module.arc_action
+
+        def swapped_reversal(adj):
+            arc_perm, reversal = real(adj)
+            return arc_perm, reversal[[1, 0, *range(2, len(reversal))]]
+
+        monkeypatch.setattr(cover_module, "arc_action", swapped_reversal)
+        perms = gens
+    else:
+        # The lifts act on base darts, but none acts trivially there, and one
+        # translation moves vertex 0 along a line of its 49-point fiber only.
+        perms = {
+            "swapped-pair": gens + [swap],
+            "lifts-only": lifts,
+            "one-translation": lifts + trans[:1],
+        }[case]
+    with pytest.raises(NotCertified) as refused:
+        cov.base_action(perms)
+    assert str(refused.value) == REFUSALS[case]
 
 
 # -- extremal families ----------------------------------------------------------
