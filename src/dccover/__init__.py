@@ -41,7 +41,6 @@ from .cover import (
     NonSimpleCover,
     NotCertified,
     build_cover,
-    check_simple,
     extremal_cover,
 )
 from .lift import (
@@ -82,7 +81,6 @@ __all__ = [
     "automorphism_group",
     "build_cover",
     "canonical_form",
-    "check_simple",
     "code_modulus",
     "compress",
     "core_polynomial",

@@ -81,20 +81,16 @@ class GeneratorMatrix:
         return tuple(row[j] for row in self.rows)
 
 
-def check_simple(matrix: GeneratorMatrix) -> int | None:
-    """Index of the first zero column, or None when the cover is simple."""
-    for j in range(matrix.n):
-        if not any(matrix.column(j)):
-            return j
-    return None
-
-
 class CoverGraph:
     """Cover of the doubled cycle described by a generator matrix.
 
     Darts at a vertex are tracked as t in {0, 1, 2, 3}: t=0 adds the column
     of the current layer (the a-arc), t=1 subtracts it, and t=2, t=3 step
     back to the previous layer undoing t=0 and t=1 respectively.
+
+    The constructor refuses a matrix whose cover is not simple: fewer than
+    three columns (ValueError), where the layers on both sides of a layer
+    meet, or a zero column (NonSimpleCover).
     """
 
     def __init__(
@@ -103,9 +99,12 @@ class CoverGraph:
         eps: int | None = None,
         g: FpPoly | None = None,
     ):
-        bad = check_simple(matrix)
-        if bad is not None:
-            raise NonSimpleCover(bad)
+        cols = np.array(matrix.rows, dtype=np.int64).T
+        if len(cols) < 3:
+            raise ValueError("the base cycle needs at least three vertices")
+        zero = np.flatnonzero(~cols.any(axis=1))
+        if len(zero):
+            raise NonSimpleCover(int(zero[0]))
         self.matrix = matrix
         self.p = matrix.p
         self.n = matrix.n
@@ -114,7 +113,7 @@ class CoverGraph:
         self.g = g
         self.fiber_size = self.p**self.r
         self.order = self.n * self.fiber_size
-        self.dart_ends = self._build_dart_ends(np.array(matrix.rows, dtype=np.int64).T)
+        self.dart_ends = self._build_dart_ends(cols)
 
     def _fiber_add(self, vecs: np.ndarray) -> np.ndarray:
         """Table [k, v] of the fiber value v plus row k of vecs, digitwise mod p."""
@@ -204,7 +203,7 @@ class CoverGraph:
         """
         if not self.is_connected():
             raise NotCertified("the cover is disconnected")
-        arc_perm, reversal = arc_action(self.dart_ends)
+        arc_perm, (reversal, _) = arc_action(self)
         base = (np.arange(self.order)[:, None] // self.fiber_size * 4 + np.arange(4)).ravel()
 
         def project(arcs, what):
@@ -239,8 +238,6 @@ class CoverGraph:
 
 def build_cover(g: FpPoly, n: int, eps: int) -> CoverGraph:
     """Cover of the doubled cycle on n vertices from a proper divisor g."""
-    if n < 3:
-        raise ValueError("the base cycle needs at least three vertices")
     if eps not in (0, 1):
         raise ValueError("eps must be 0 or 1")
     if g.is_zero or g.leading != 1:
@@ -265,8 +262,6 @@ def extremal_cover(kind: str, p: int, r: int, blocks: int) -> CoverGraph:
     if r < 1 or blocks < 2:
         raise ValueError("need a positive fiber dimension and at least two blocks")
     n = r * blocks
-    if n < 3:
-        raise ValueError("the base cycle needs at least three vertices")
     eye = np.eye(r, dtype=np.int64)
     if kind == "pm1":
         eps = 0

@@ -158,9 +158,10 @@ class PermGroup:
     builds no chain.  Otherwise the product of the basic orbit lengths is
     a lower bound on the order at every step, so the closure stops as soon
     as it equals upper_bound: equality forces a complete chain, and order()
-    and contains() stay exact.  A loose upper bound lets the closure
-    finish.  A chain above upper_bound, or a finished one below
-    lower_bound, raises ValueError, since that bound was false.
+    and contains() stay exact.  A loose upper bound lets the closure finish.
+    A chain above upper_bound, or a finished one below lower_bound, raises
+    ValueError, since that bound was false; a false upper_bound that the
+    product meets exactly is returned.
     """
 
     def __init__(
@@ -301,26 +302,52 @@ class NotAnAutomorphism(ValueError):
     pass
 
 
-def arc_action(adj):
-    """The map from vertex permutations to arc permutations, and the arc reversal.
+class Darts(NamedTuple):
+    """A graph given by its darts: reversal[d] is the reverse of dart d, and
+    tails[d] the vertex dart d leaves."""
 
-    The adjacency is a table with one row per vertex, such as the dart_ends
-    of a cover, or plain, possibly ragged, lists.  Arcs are numbered in
-    adjacency order, so on a cover arc 4u+t is the dart of track t at u.
+    reversal: np.ndarray
+    tails: np.ndarray
+
+
+def _table(graph) -> np.ndarray:
+    """One row of neighbours per vertex: a cover's dart_ends, or adjacency
+    lists whose real slots are padded with the sentinel len(adj), coloured
+    -1 in the search.  ValueError when a list names a non-vertex."""
+    adj = getattr(graph, "dart_ends", graph)
+    if isinstance(adj, np.ndarray):
+        return adj
+    table = np.full((len(adj), max(map(len, adj), default=0)), len(adj))
+    for u, nbrs in enumerate(adj):
+        table[u, : len(nbrs)] = nbrs
+    if table.min(initial=0) < 0 or (table < len(adj)).sum() < sum(map(len, adj)):
+        raise ValueError("a neighbour is not a vertex")
+    return table
+
+
+def arc_action(graph):
+    """The map from vertex permutations to arc permutations, and the Darts.
+
+    Arcs are the real slots of the graph's neighbour table (_table) in
+    row-major order, so on a cover arc 4u+t is the dart of track t at u.
     Images are found by binary search among the sorted (tail, head) keys.
     The map raises NotAnAutomorphism when a permutation sends an arc to a
-    non-arc; a ValueError here means the adjacency is not symmetric.
+    non-arc; a ValueError here means the adjacency repeats an arc or is not
+    symmetric.
     """
-    if isinstance(adj, np.ndarray):
-        heads = adj.ravel()
-        tails = np.repeat(np.arange(len(adj), dtype=np.int32), adj.shape[1])
-    else:
-        heads = np.fromiter((v for nbrs in adj for v in nbrs), dtype=np.int64)
-        tails = np.repeat(np.arange(len(adj)), [len(nbrs) for nbrs in adj])
-    degree = len(adj)
+    table = _table(graph)
+    degree = len(table)
+    heads = table.ravel()
+    tails = np.repeat(np.arange(degree, dtype=np.int32), table.shape[1])
+    # Only padded lists have slots to drop; a cover's arcs stay a view.
+    if table.max(initial=-1) >= degree:
+        real = heads < degree
+        heads, tails = heads[real], tails[real]
     keys = tails.astype(np.int64) * degree + heads
     order = np.argsort(keys, kind="stable").astype(np.int32)
     keys = keys[order]
+    if np.any(keys[1:] == keys[:-1]):
+        raise ValueError("the adjacency repeats an arc")
 
     def find(tail_img, head_img):
         want = tail_img.astype(np.int64) * degree + head_img
@@ -338,15 +365,7 @@ def arc_action(adj):
     reversal, missed = find(heads, tails)
     if len(missed):
         raise ValueError("the adjacency is not symmetric")
-    return arc_perm, reversal
-
-
-class Darts(NamedTuple):
-    """A graph given by its darts: reversal[d] is the reverse of dart d, and
-    tails[d] the vertex dart d leaves."""
-
-    reversal: np.ndarray
-    tails: np.ndarray
+    return arc_perm, Darts(reversal, tails)
 
 
 def transitivity_profile(group, graph) -> dict:
@@ -366,13 +385,11 @@ def transitivity_profile(group, graph) -> dict:
     """
     perms = group.gens if isinstance(group, PermGroup) else group
     if not isinstance(graph, Darts):
-        adj = getattr(graph, "dart_ends", graph)
-        degrees = [len(nbrs) for nbrs in adj]
-        if not all(degrees):
+        table = _table(graph)
+        if not (table < len(table)).any(axis=1).all():
             raise ValueError("a vertex without neighbours has no dart to count it by")
-        arc_perm, reversal = arc_action(adj)
+        arc_perm, graph = arc_action(table)
         perms = [arc_perm(g) for g in perms]
-        graph = Darts(reversal, np.repeat(np.arange(len(adj)), degrees))
     tails = np.asarray(graph.tails)
     vertices = int(tails.max(initial=-1)) + 1
     on_vertices = []
@@ -403,17 +420,6 @@ def transitivity_profile(group, graph) -> dict:
 
 class OracleLimit(RuntimeError):
     pass
-
-
-def _neighbour_table(adj) -> np.ndarray:
-    """One row of neighbours per vertex; ragged rows are padded with the
-    sentinel len(adj), whose colour is -1."""
-    if isinstance(adj, np.ndarray):
-        return adj
-    table = np.full((len(adj), max(map(len, adj), default=0)), len(adj))
-    for u, nbrs in enumerate(adj):
-        table[u, : len(nbrs)] = nbrs
-    return table
 
 
 def _sorted_rows(table: np.ndarray, col: np.ndarray) -> np.ndarray:
@@ -595,16 +601,16 @@ DEFAULT_ORACLE_LIMIT = 256
 
 
 def _search(graph, limit: int, time_budget: float | None):
-    """The adjacency of a graph (a cover's dart_ends, or lists) and the
-    finished search over it; OracleLimit above limit vertices or once
-    time_budget seconds have passed."""
-    adj = getattr(graph, "dart_ends", graph)
-    if len(adj) > limit:
+    """The neighbour table of a graph (_table) and the finished search over
+    it; OracleLimit above limit vertices or once time_budget seconds have
+    passed."""
+    table = _table(graph)
+    if len(table) > limit:
         raise OracleLimit(
-            f"graph has {len(adj)} vertices, above the oracle limit {limit}"
+            f"graph has {len(table)} vertices, above the oracle limit {limit}"
         )
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    return adj, _AutSearch(_neighbour_table(adj), deadline).run()
+    return table, _AutSearch(table, deadline).run()
 
 
 def automorphism_group(
@@ -615,12 +621,12 @@ def automorphism_group(
     The group carries the search's order bounds (_AutSearch.order_bounds),
     so its order() builds no stabilizer chain when they meet.
     """
-    adj, search = _search(graph, limit, time_budget)
-    arc_perm, _ = arc_action(adj)
+    table, search = _search(graph, limit, time_budget)
+    arc_perm, _ = arc_action(table)
     for g in search.gens:
         arc_perm(g)
     lower, upper = search.order_bounds()
-    return PermGroup(search.gens, len(adj), upper_bound=upper, lower_bound=lower)
+    return PermGroup(search.gens, len(table), upper_bound=upper, lower_bound=lower)
 
 
 def canonical_form(
@@ -628,13 +634,13 @@ def canonical_form(
 ) -> tuple:
     """Vertex count and canonical key: equal for two graphs exactly when
     isomorphic."""
-    adj, search = _search(graph, limit, time_budget)
-    return (len(adj), search.best.key)
+    table, search = _search(graph, limit, time_budget)
+    return (len(table), search.best.key)
 
 
 def are_isomorphic(graph_a, graph_b, limit: int = DEFAULT_ORACLE_LIMIT) -> bool:
-    adj_a = getattr(graph_a, "dart_ends", graph_a)
-    adj_b = getattr(graph_b, "dart_ends", graph_b)
-    if sorted(map(len, adj_a)) != sorted(map(len, adj_b)):
+    table_a, table_b = _table(graph_a), _table(graph_b)
+    degrees = [np.sort((t < len(t)).sum(axis=1)) for t in (table_a, table_b)]
+    if not np.array_equal(*degrees):
         return False
-    return canonical_form(adj_a, limit) == canonical_form(adj_b, limit)
+    return canonical_form(table_a, limit) == canonical_form(table_b, limit)

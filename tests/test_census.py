@@ -184,6 +184,7 @@ def test_cli_reports_bad_sweeps_without_traceback(
         (["--p", "4", "--n", "3", "--g", "1"], "odd prime"),
         (["--p", "7", "--n", "3", "--g", "x"], "invalid literal"),
         (["--p", "7", "--n", "3", "--g", "1,1,1", "--out", "missing/g.txt"], "No such file"),
+        (["--p", "7", "--n", "2", "--g", "1"], "at least three vertices"),
     ],
 )
 def test_cli_export_reports_bad_input_without_traceback(

@@ -19,7 +19,6 @@ from dccover.cover import (
     NonSimpleCover,
     NotCertified,
     build_cover,
-    check_simple,
     extremal_cover,
 )
 from dccover.fpoly import FpPoly, modulus_divisors, poly_one
@@ -98,12 +97,18 @@ def test_matrix_validation():
 
 def test_zero_column_is_caught():
     bad = GeneratorMatrix(5, ((1, 0, 2), (2, 0, 1)))
-    assert check_simple(bad) == 1
     with pytest.raises(NonSimpleCover) as err:
         CoverGraph(bad)
     assert err.value.column == 1
-    good = GeneratorMatrix.from_poly(SEXTIC5, 8)
-    assert check_simple(good) is None
+    assert CoverGraph(GeneratorMatrix.from_poly(SEXTIC5, 8)).order == 200
+
+
+@pytest.mark.parametrize("rows", [((1, 1),), ((1, 2), (2, 1)), ((3,),)])
+def test_fewer_than_three_columns_are_refused(rows):
+    # On two layers the arcs ahead of a layer and those behind it join the
+    # same two layers; ((1, 1),) gave a 2-layer multigraph.
+    with pytest.raises(ValueError, match="three vertices"):
+        CoverGraph(GeneratorMatrix(5, rows))
 
 
 # -- cover construction --------------------------------------------------------
@@ -318,9 +323,12 @@ def test_certified_order_stops_at_the_bound_on_a_large_cover():
 
 def test_base_action_matches_the_degree_n_group_on_sweep_covers():
     # The degree-N chain gets the order read on base darts as its upper
-    # bound. It stops only once its orbit product reaches that order,
-    # finishes at the true order below it and raises above it, so equality
-    # is exact.  Lifts with fewer translations give other orbit counts.
+    # bound and stops once its orbit product reaches it.  A bound below the
+    # true order that the product meets exactly is returned, not refused,
+    # so random products of the generators are sifted too: a chain stopped
+    # short of the group refuses some of them.  Lifts with fewer
+    # translations give other orbit counts.
+    rng = random.Random(7)
     checked = 0
     for report, cov in small_covers(2500, range(3, 9)):
         gens = lifted_generators(report, cov)
@@ -328,7 +336,13 @@ def test_base_action_matches_the_degree_n_group_on_sweep_covers():
         for perms in (gens, trans, gens[:1] + trans):
             on_darts, base = cov.base_action(perms)
             order = PermGroup(on_darts, 4 * cov.n).order() * cov.fiber_size
-            assert PermGroup(perms, upper_bound=order).order() == order
+            group = PermGroup(perms, upper_bound=order)
+            assert group.order() == order
+            for _ in range(4):
+                member = np.arange(cov.order)
+                for _ in range(6):
+                    member = np.asarray(rng.choice(perms))[member]
+                assert group.contains(member)
             assert transitivity_profile(on_darts, base) == transitivity_profile(perms, cov)
         checked += 1
     assert checked == 224
@@ -367,9 +381,10 @@ def test_base_action_refuses_what_it_cannot_certify(case, monkeypatch):
         # over other base darts than the reverses of their fiber's twins.
         real = cover_module.arc_action
 
-        def swapped_reversal(adj):
-            arc_perm, reversal = real(adj)
-            return arc_perm, reversal[[1, 0, *range(2, len(reversal))]]
+        def swapped_reversal(graph):
+            arc_perm, darts = real(graph)
+            swapped = darts.reversal[[1, 0, *range(2, len(darts.reversal))]]
+            return arc_perm, darts._replace(reversal=swapped)
 
         monkeypatch.setattr(cover_module, "arc_action", swapped_reversal)
         perms = gens

@@ -1,7 +1,9 @@
-"""Every name a library module imports is used, and the package exports what it imports."""
+"""Every name a library module imports is used, the package exports what it
+imports, and the README's library example runs."""
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -43,3 +45,9 @@ def test_all_lists_every_public_name_of_the_package():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert set(dccover.__all__) == public
+
+
+def test_the_readme_library_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = re.search(r"^## Library\n\n```python\n(.*?)^```", readme, re.M | re.S)
+    exec(compile(example.group(1), "README.md", "exec"), {})

@@ -11,6 +11,7 @@ from dccover.permgrp import (
     NotAnAutomorphism,
     OracleLimit,
     PermGroup,
+    arc_action,
     are_isomorphic,
     as_perm,
     automorphism_group,
@@ -144,6 +145,15 @@ def test_bound_below_the_chain_order_raises():
         G.contains([0, 1, 2, 3, 4, 5, 6])
     with pytest.raises(ValueError):
         G.order()  # a failed build is not kept
+
+
+def test_a_false_bound_met_exactly_is_returned():
+    # The orbit product 4 * 3 meets the bound 12 before the chain of S4 is
+    # complete, so the bound must be proven: only sifting shows the chain
+    # missing an element the generators give.
+    S4 = PermGroup([[1, 0, 2, 3], [1, 2, 3, 0]], upper_bound=12)
+    assert S4.order() == 12
+    assert not S4.contains([1, 0, 3, 2])
 
 
 def test_equal_bounds_give_the_order_without_a_chain():
@@ -361,6 +371,24 @@ def test_profile_needs_a_dart_at_every_vertex():
     # Orbits are counted on darts, which cannot see an isolated vertex.
     with pytest.raises(ValueError, match="no dart"):
         transitivity_profile([[1, 0, 2]], [[1], [0], []])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: arc_action([[1, 1], [0, 0]]), "repeats an arc"),
+        (lambda: transitivity_profile([[1, 0]], [[1, 1], [0, 0]]), "repeats an arc"),
+        (lambda: arc_action([[1], []]), "not symmetric"),
+        (lambda: arc_action([[1, 2], [0]]), "not a vertex"),
+        (lambda: arc_action([[1, -1], [0]]), "not a vertex"),
+    ],
+    ids=["repeated-arc", "repeated-arc-profile", "asymmetric", "too-large", "negative"],
+)
+def test_arc_action_refuses_a_graph_it_cannot_number(call, message):
+    # Two parallel arcs would find the same key, so the arc map would not be
+    # a bijection, and the profile counted 1 arc orbit on 2 vertex orbits.
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_profile_rejects_non_automorphism():
