@@ -252,20 +252,20 @@ def build_cover(g: FpPoly, n: int, eps: int) -> CoverGraph:
 
 
 def extremal_cover(kind: str, p: int, r: int, blocks: int) -> CoverGraph:
-    """Cover with identity-block voltage matrix and maximal fiber dimension.
+    """Cover of a Gardiner–Praeger family, built as build_cover of c(x^r).
 
-    Kind "pm1" lays down `blocks` copies of the r x r identity.  Kind
-    "pmtheta" alternates the identity with theta times the identity where
-    theta is a square root of -1, so p must be 1 mod 4 and `blocks` even.
-    Both give n = r * blocks.
+    Kind "pm1" takes c = 1 + x + ... + x^(blocks-1).  Kind "pmtheta" puts
+    theta^(k+1-blocks) on x^k, with theta a square root of -1, so p must be
+    1 mod 4 and `blocks` even.  Both give n = r * blocks, and voltage matrices
+    of scalar r x r blocks up to sign: the identity for "pm1"; for "pmtheta",
+    theta times the identity on even blocks and the identity on odd ones.
     """
     if r < 1 or blocks < 2:
         raise ValueError("need a positive fiber dimension and at least two blocks")
-    n = r * blocks
-    eye = np.eye(r, dtype=np.int64)
+    if not is_odd_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
     if kind == "pm1":
         eps = 0
-        scales = [1] * blocks
         core = [1] * blocks
     elif kind == "pmtheta":
         if p % 4 != 1:
@@ -274,23 +274,7 @@ def extremal_cover(kind: str, p: int, r: int, blocks: int) -> CoverGraph:
             raise ValueError("the alternating family needs an even block count")
         theta = min(x for x in range(2, p) if (x * x + 1) % p == 0)
         eps = (blocks // 2) % 2
-        # The monic divisor has theta^(k+1-blocks) on block k; since the
-        # adjacency only uses columns up to sign, the alternation theta, 1,
-        # theta, 1, ... yields the identical edge set.
         core = [pow(theta, (k + 1 - blocks) % 4, p) for k in range(blocks)]
-        scales = [theta if k % 2 == 0 else 1 for k in range(blocks)]
-        if any((s - c) % p and (s + c) % p for s, c in zip(scales, core)):
-            raise AssertionError("block scales drifted from the divisor")
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    block_row = np.hstack([(s * eye) % p for s in scales])
-    matrix = GeneratorMatrix(p, block_row)
-    poly = FpPoly(p, tuple(
-        core[k // r] if k % r == 0 else 0 for k in range((blocks - 1) * r + 1)
-    ))
-    if not poly.divides(code_modulus(n, eps, p)):
-        raise AssertionError("the block divisor does not divide the modulus")
-    cover = CoverGraph(matrix, eps=eps, g=poly)
-    if not cover.is_connected():
-        raise AssertionError("the extremal cover is disconnected")
-    return cover
+    return build_cover(FpPoly(p, core).expand(r), r * blocks, eps)

@@ -255,8 +255,23 @@ def test_criterion_7_block_families_and_invariants():
     ]:
         for p, r, blocks in points:
             family = extremal_cover(kind, p, r, blocks)
-            generic = build_cover(family.g, family.n, family.eps)
-            assert family.edges() == generic.edges(), (kind, p, r, blocks)
+            # Block k of the voltage matrix is +-s_k times the identity.
+            theta = min((x for x in range(2, p) if (x * x + 1) % p == 0), default=None)
+            rows, eye = np.array(family.matrix.rows), np.eye(r, dtype=np.int64)
+            for k in range(blocks):
+                block = rows[:, k * r : k * r + r]
+                scale = theta if kind == "pmtheta" and k % 2 == 0 else 1
+                assert any(
+                    np.array_equal(block, sign * scale * eye % p) for sign in (1, -1)
+                ), (kind, p, r, blocks, k)
+            # The predicted group, certified on the base darts.
+            rep = lifting_report(divisor_info(family.g, family.n, family.eps))
+            gens = lifted_generators(rep, family)
+            on_darts, base = family.base_action(gens)
+            order = PermGroup(on_darts, 4 * family.n).order() * family.fiber_size
+            assert order == rep.lifted_order, (kind, p, r, blocks)
+            arc_orbits = transitivity_profile(on_darts, base)["arc_orbits"]
+            assert arc_orbits == (1 if rep.arc_transitive else 2), (kind, p, r, blocks)
     built = 0
     for p, n, eps, g in _sweep():
         if n * p ** (n - max(g.degree, 0)) > ORDER_CAP:
@@ -267,4 +282,4 @@ def test_criterion_7_block_families_and_invariants():
         assert cover.is_connected()
         built += 1
     assert built >= 200
-    _finish(7, f"block families exact, invariants on {built} covers", t0)
+    _finish(7, f"block families certified, invariants on {built} covers", t0)

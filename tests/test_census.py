@@ -400,6 +400,7 @@ def test_cli_exits_quietly_when_the_reader_goes_away(argv):
         env={**os.environ, "PYTHONPATH": src},
     )
     child.stdout.close()
-    err = child.stderr.read().decode()
+    with child.stderr:
+        err = child.stderr.read().decode()
     assert child.wait(timeout=120) == 1
     assert err == ""

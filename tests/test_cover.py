@@ -414,8 +414,16 @@ def test_block_families_match_the_generic_construction():
         ("pmtheta", 13, 3, 2),
     ):
         fam = extremal_cover(kind, p, r, blocks)
-        gen = build_cover(fam.g, fam.n, fam.eps)
-        assert fam.edges() == gen.edges(), (kind, p, r, blocks)
+        # Block k is +-s_k times the identity: s_k = 1 for pm1, and for
+        # pmtheta theta on even k and 1 on odd k.
+        theta = min((x for x in range(2, p) if (x * x + 1) % p == 0), default=None)
+        rows, eye = np.array(fam.matrix.rows), np.eye(r, dtype=np.int64)
+        for k in range(blocks):
+            block = rows[:, k * r : k * r + r]
+            scale = theta if kind == "pmtheta" and k % 2 == 0 else 1
+            assert any(
+                np.array_equal(block, sign * scale * eye % p) for sign in (1, -1)
+            ), (kind, p, r, blocks, k)
         assert fam.order == r * blocks * p**r
         assert fam.is_connected()
         assert all(len(set(nbrs)) == 4 for nbrs in fam.adjacency())
@@ -440,3 +448,7 @@ def test_extremal_validation():
         extremal_cover("pmtheta", 13, 1, 2)  # n = 2
     with pytest.raises(ValueError):
         extremal_cover("blocks", 5, 2, 2)
+    with pytest.raises(ValueError, match="9 is not an odd prime"):
+        extremal_cover("pmtheta", 9, 1, 2)
+    with pytest.raises(ValueError, match="21 is not an odd prime"):
+        extremal_cover("pmtheta", 21, 1, 2)

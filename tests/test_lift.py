@@ -1,12 +1,13 @@
 """Tests for the two lifting criteria and the lifting subgroup report."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dccover.cover import build_cover, extremal_cover
+from dccover.cover import CoverGraph, GeneratorMatrix, build_cover, extremal_cover
 from dccover.dcycle import DCAut, in_span
 from dccover.fpoly import FpPoly, code_modulus, modulus_divisors, poly_one
 from dccover.lift import (
@@ -290,8 +291,26 @@ def test_lifted_generators_requires_the_matching_cover():
     other = build_cover(FpPoly(7, (3, 1)), 3, 0)
     with pytest.raises(ValueError):
         lifted_generators(rep, other)
-    # The extremal family shares g with the built cover, not the matrix.
-    fam = extremal_cover("pmtheta", 5, 2, 2)
-    rep = lifting_report(divisor_info(fam.g, fam.n, fam.eps))
+    # Negating column 0 keeps g and the edge set but swaps tracks 0 and 1
+    # at layer 0, so the cover is not the one the report's lifts act on.
+    g = FpPoly(7, (5, 1))
+    rows = np.array(GeneratorMatrix.from_poly(g, 3).rows)
+    rows[:, 0] *= -1
+    negated = CoverGraph(GeneratorMatrix(7, rows), eps=0, g=g)
+    assert negated.edges() == build_cover(g, 3, 0).edges()
     with pytest.raises(ValueError, match="does not belong"):
-        lifted_generators(rep, fam)
+        lifted_generators(rep, negated)
+
+
+@pytest.mark.parametrize("family", [("pmtheta", 5, 1, 4), ("pmtheta", 13, 1, 6)])
+def test_lifting_criteria_agree_on_the_extremal_families(family):
+    fam = extremal_cover(*family)
+    n = fam.n
+    auts = [DCAut(n, *a) for a in itertools.product(range(1 << n), (0, 1), range(n))]
+    disagree = [
+        str(aut)
+        for aut in auts
+        if lifts_by_invariance(aut, fam.g, n, fam.eps)
+        != isinstance(lift_by_propagation(aut, fam), np.ndarray)
+    ]
+    assert not disagree, f"{len(disagree)} of {len(auts)}: {disagree[:4]}"
