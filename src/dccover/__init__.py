@@ -8,6 +8,8 @@ builds the covers, lifts base automorphisms two independent ways, and
 cross-checks every prediction with a permutation-group engine.
 """
 
+import importlib
+
 from .fpoly import (
     FpPoly,
     code_modulus,
@@ -32,36 +34,40 @@ from .reflex import (
 )
 from .dcycle import (
     DCAut,
-    homology_matrix,
     subgroup_from_case,
 )
-from .cover import (
-    CoverGraph,
-    GeneratorMatrix,
-    NonSimpleCover,
-    NotCertified,
-    build_cover,
-    extremal_cover,
-)
 from .lift import (
-    Inconsistent,
     LiftReport,
     is_minimal_cover,
-    lift_by_propagation,
-    lifted_generators,
     lifting_report,
     lifting_swaps,
     lifts_by_invariance,
 )
-from .permgrp import (
-    NotAnAutomorphism,
-    OracleLimit,
-    PermGroup,
-    are_isomorphic,
-    automorphism_group,
-    canonical_form,
-    transitivity_profile,
+
+# The verification side loads numpy, so its names are imported on first
+# use (PEP 562): predicting a cover's symmetry never starts the engine.
+_LAZY = dict.fromkeys(
+    ("CoverGraph", "GeneratorMatrix", "Inconsistent", "NonSimpleCover", "NotCertified",
+     "build_cover", "extremal_cover", "lift_by_propagation", "lifted_generators"),
+    "cover",
+) | dict.fromkeys(
+    ("NotAnAutomorphism", "OracleLimit", "PermGroup", "are_isomorphic",
+     "automorphism_group", "canonical_form", "transitivity_profile"),
+    "permgrp",
 )
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "CoverGraph",
@@ -87,7 +93,6 @@ __all__ = [
     "divisor_info",
     "extremal_cover",
     "factor_code_modulus",
-    "homology_matrix",
     "is_maximal_divisor",
     "is_maximal_weakly_reflexible",
     "is_minimal_cover",

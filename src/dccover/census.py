@@ -14,17 +14,42 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
-from .cover import CoverGraph, NotCertified, build_cover
-from .fpoly import FpPoly, is_odd_prime, modulus_divisors
-from .lift import lifted_generators, lifting_report
-from .permgrp import OracleLimit, PermGroup, automorphism_group, transitivity_profile
+from .fpoly import FpPoly, is_odd_prime, modulus_divisors, require_proper_divisor
+from .lift import lifting_report
 from .reflex import divisor_info
 
+if TYPE_CHECKING:
+    from .cover import CoverGraph
+
 VERIFY_TIERS = ("none", "lifts", "orbits", "aut")
+
+# The verification side loads numpy, so a census that only predicts never
+# imports it.  Its names become module globals on first use, taken from the
+# package's lazy table.  _census_row reads them there at call time, so a
+# caller may rebind one (as a tracer does) and the binding keeps it.
+_VERIFIERS = (
+    "NotCertified", "OracleLimit", "PermGroup", "automorphism_group",
+    "build_cover", "lifted_generators", "transitivity_profile",
+)
+
+
+def _bind_verifiers() -> None:
+    """Bind every verification name that is not yet a module global."""
+    package = sys.modules[__package__]
+    for name in _VERIFIERS:
+        if name not in globals():
+            globals()[name] = getattr(package, name)
+
+
+def __getattr__(name: str):
+    if name not in _VERIFIERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_verifiers()
+    return globals()[name]
 
 
 @dataclass(frozen=True)
@@ -75,6 +100,7 @@ def _census_row(task) -> CensusRow:
     if row["order"] > max_order:
         row["skipped"] = f"order {row['order']} above the size budget {max_order}"
         return CensusRow(**row)
+    _bind_verifiers()
     cover = build_cover(g, n, eps)
     gens = lifted_generators(rep, cover)
     mismatches = []
@@ -165,6 +191,11 @@ def census_rows(
                         (p, n, eps, g, verify, max_order, aut_limit, time_budget)
                     )
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        if verify != "none":
+            # Forked workers inherit what the parent has imported.
+            _bind_verifiers()
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_census_row, tasks))
     return [_census_row(t) for t in tasks]
@@ -223,13 +254,18 @@ def export_graph(cover: CoverGraph, stream, voltages: bool = False) -> None:
 def _parse_ints(text: str) -> list[int]:
     """Comma list of integers where each item may be a single value or a..b."""
     out = []
-    for item in text.split(","):
-        item = item.strip()
-        if ".." in item:
-            lo, hi = item.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(item))
+    try:
+        for item in text.split(","):
+            item = item.strip()
+            if ".." in item:
+                lo, hi = item.split("..", 1)
+                out.extend(range(int(lo), int(hi) + 1))
+            else:
+                out.append(int(item))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected integers such as 3,5,7 or 3..8, got {text!r}"
+        ) from None
     return sorted(set(out))
 
 
@@ -282,6 +318,9 @@ def _build_parser() -> argparse.ArgumentParser:
     export.add_argument("--eps", type=int, choices=(0, 1), required=True)
     export.add_argument("--g", required=True, help="divisor coefficients, e.g. 5,1")
     export.add_argument("--voltages", action="store_true")
+    export.add_argument(
+        "--max-order", type=_above_zero(int), default=2500, help="largest cover to build"
+    )
     export.add_argument("--out", default=None, help="output path, stdout by default")
     return parser
 
@@ -336,8 +375,15 @@ def _run(parser, args) -> int:
         return 2 if any(row.mismatch for row in rows) else 0
     with _open_out(parser, args.out) as stream:
         try:
-            coeffs = tuple(int(c) for c in args.g.split(","))
-            cover = build_cover(FpPoly(args.p, coeffs), args.n, args.eps)
+            g = FpPoly(args.p, tuple(int(c) for c in args.g.split(",")))
+            require_proper_divisor(g, args.n, args.eps)
+            order = args.n * args.p ** (args.n - g.degree)
+            if order > args.max_order:
+                parser.error(
+                    f"the cover has {order} vertices, above --max-order {args.max_order}"
+                )
+            _bind_verifiers()
+            cover = build_cover(g, args.n, args.eps)
         except ValueError as err:
             parser.error(str(err))
         export_graph(cover, stream, voltages=args.voltages)

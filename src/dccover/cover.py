@@ -5,7 +5,8 @@ rows are the shifted coefficient vectors of g, with r = n - deg g.  The cover
 has vertex set Z_p^r x Z_n, and each vertex (v, j) is joined to
 (v + col_j, j+1) and (v - col_j, j+1) where col_j is column j of the matrix.
 Vertices are numbered j * p^r + value(v) with v read as little-endian base-p
-digits.
+digits.  Doubled-cycle automorphisms lift to the cover by forced propagation
+over its neighbour table.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .fpoly import FpPoly, code_modulus, is_odd_prime
+from .dcycle import DCAut
+from .fpoly import FpPoly, is_odd_prime, require_proper_divisor
+from .lift import LiftReport
 from .permgrp import (
     Darts,
     NotAnAutomorphism,
@@ -238,13 +241,7 @@ class CoverGraph:
 
 def build_cover(g: FpPoly, n: int, eps: int) -> CoverGraph:
     """Cover of the doubled cycle on n vertices from a proper divisor g."""
-    if eps not in (0, 1):
-        raise ValueError("eps must be 0 or 1")
-    if g.is_zero or g.leading != 1:
-        raise ValueError("the divisor must be monic")
-    modulus = code_modulus(n, eps, g.p)
-    if g.degree >= n or not g.divides(modulus):
-        raise ValueError(f"{g.to_text()!r} is not a proper divisor of {modulus.to_text()!r}")
+    require_proper_divisor(g, n, eps)
     cover = CoverGraph(GeneratorMatrix.from_poly(g, n), eps=eps, g=g)
     if not cover.is_connected():
         raise AssertionError("the cover of a proper divisor is disconnected")
@@ -278,3 +275,80 @@ def extremal_cover(kind: str, p: int, r: int, blocks: int) -> CoverGraph:
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return build_cover(FpPoly(p, core).expand(r), r * blocks, eps)
+
+
+# -- lifting by forced propagation ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class Inconsistent:
+    """Witness that propagation forced two different images on one vertex."""
+
+    vertex: int
+    expected: int
+    got: int
+
+
+def lift_by_propagation(
+    aut: DCAut, cover: CoverGraph, base_image: int | None = None
+) -> np.ndarray | Inconsistent:
+    """Lift the automorphism to a vertex permutation, or return a witness.
+
+    The image of vertex 0 determines everything else: each dart at a
+    placed vertex must map to the unique dart over the image of its base
+    dart, which forces the image of the far endpoint.  Propagation runs
+    level by level from vertex 0 and either completes the permutation or
+    forces a conflicting image on some vertex.  By default vertex 0 goes to
+    the zero fiber point over its base image.  The lift is an int32 image
+    array.
+    """
+    n = cover.n
+    if aut.n != n:
+        raise ValueError("automorphism and cover disagree on the cycle length")
+    if base_image is None:
+        base_image = cover.vertex_id((0,) * cover.r, aut.vertex_image(0))
+    if cover.layer(base_image) != aut.vertex_image(0):
+        raise ValueError("base image must lie over the image of vertex 0")
+    # tracks[j, t]: track of the image of the dart of track t at base vertex j.
+    tracks = np.asarray(aut.arc_perm()).reshape(n, 4) % 4
+    ends = cover.dart_ends
+    image = np.full(cover.order, -1, dtype=np.int64)
+    image[0] = base_image
+    frontier = np.zeros(1, dtype=np.int64)
+    while len(frontier):
+        v = ends[frontier].ravel()
+        iv = ends[image[frontier][:, None], tracks[frontier // cover.fiber_size]].ravel()
+        fresh = image[v] < 0
+        image[v[fresh]] = iv[fresh]
+        bad = np.flatnonzero(image[v] != iv)
+        if len(bad):
+            w, got = int(v[bad[0]]), int(iv[bad[0]])
+            return Inconsistent(vertex=w, expected=int(image[w]), got=got)
+        reached = np.zeros(cover.order, dtype=bool)
+        reached[v[fresh]] = True
+        frontier = np.flatnonzero(reached)
+    if image.min() < 0:
+        raise AssertionError("propagation did not reach every vertex")
+    if not np.array_equal(np.sort(image), np.arange(cover.order)):
+        raise AssertionError("propagation produced a non-bijective map")
+    return image.astype(np.int32)
+
+
+def lifted_generators(report: LiftReport, cover: CoverGraph) -> list[np.ndarray]:
+    """Vertex permutations generating the full preimage of the base group.
+
+    One propagation lift per base generator plus the fiber translations;
+    together these generate every lift of every element of the base group,
+    a group of order base_order * p^fiber_dim.
+    """
+    info = report.info
+    if cover.matrix != GeneratorMatrix.from_poly(info.g, info.n):
+        raise ValueError("cover does not belong to the report's divisor")
+    perms: list[np.ndarray] = []
+    for g in report.generators:
+        lift = lift_by_propagation(g, cover)
+        if isinstance(lift, Inconsistent):
+            raise AssertionError(f"verified generator {g} failed to lift")
+        perms.append(lift)
+    perms.extend(cover.translations())
+    return perms

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 # -- subsets of Z_n as bitmasks ----------------------------------------------
 
@@ -210,20 +208,6 @@ class DCAut:
 
     def __str__(self) -> str:
         return self.to_text()
-
-
-# -- action on first homology -------------------------------------------------
-
-
-def homology_matrix(aut: DCAut, p: int) -> np.ndarray:
-    """Matrix of the automorphism on first homology mod p, rows are images.
-
-    Row i carries the single signed entry of DCAut.homology_action.
-    """
-    perm, sign = aut.homology_action()
-    mat = np.zeros((aut.n + 1, aut.n + 1), dtype=np.int64)
-    mat[np.arange(aut.n + 1), perm] = np.array(sign) % p
-    return mat
 
 
 # -- vertex- and edge-transitive subgroups -------------------------------------

@@ -212,6 +212,17 @@ def code_modulus(n: int, eps: int, p: int) -> FpPoly:
     return FpPoly(p, (const,) + (0,) * (n - 1) + (1,))
 
 
+def require_proper_divisor(g: FpPoly, n: int, eps: int) -> None:
+    """Raise ValueError unless g is a monic proper divisor of x^n - (-1)^eps."""
+    if eps not in (0, 1):
+        raise ValueError("eps must be 0 or 1")
+    if g.is_zero or g.leading != 1:
+        raise ValueError("the divisor must be monic")
+    modulus = code_modulus(n, eps, g.p)
+    if g.degree >= n or not g.divides(modulus):
+        raise ValueError(f"{g.to_text()!r} is not a proper divisor of {modulus.to_text()!r}")
+
+
 def _distinct_degree_split(f: FpPoly) -> list[tuple[FpPoly, int]]:
     """Split squarefree monic f into products of irreducibles of equal degree."""
     p = f.p

@@ -4,8 +4,9 @@ An automorphism of the doubled cycle lifts to the cover of a divisor g of
 x^n - (-1)^eps exactly when its signed permutation of coordinates maps the
 code <g> in Z_p[x]/(x^n - (-1)^eps) into itself.  Membership is the
 check-polynomial test: y lies in <g> exactly when y * h vanishes in the ring,
-with h = (x^n - (-1)^eps) / g.  lift_by_propagation makes the same decision
-combinatorially and returns the lifted vertex permutation when it exists.
+with h = (x^n - (-1)^eps) / g.  This module is plain Python, so predictions
+never load numpy; cover.lift_by_propagation makes the same decision
+combinatorially on the cover and returns the lifted vertex permutation.
 """
 
 from __future__ import annotations
@@ -13,9 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .cover import CoverGraph, GeneratorMatrix
 from .dcycle import DCAut, span_basis, subgroup_from_case
 from .fpoly import FpPoly, code_modulus
 from .reflex import (
@@ -29,26 +27,31 @@ from .reflex import (
 
 
 @lru_cache(maxsize=1)
-def _code_tables(g: FpPoly, n: int, eps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis words x^i * g and the n x n check table of the code <g>.
+def _check_rows(g: FpPoly, n: int, eps: int) -> tuple[tuple[int, ...], int]:
+    """The n x n check table of the code <g>, each row packed into one int.
 
-    Row j of the check table holds x^j * h reduced mod x^n - (-1)^eps, so a
-    word y lies in <g> exactly when y @ table vanishes mod p.  For g = 1, h is
-    the modulus itself and x^j, x^(j+n) land in one column, so the terms are
-    accumulated rather than assigned.  Callers ask about one divisor many
-    times in a row and then move on, so only the last divisor's tables are
-    kept: a census would otherwise hold the tables of every row it emits.
+    Row j holds x^j * h reduced mod x^n - (-1)^eps, so a word y lies in <g>
+    exactly when y times the table vanishes mod p.  Row j + 1 is x times
+    row j: its entries move up one place and the last one wraps round to
+    the first, times (-1)^eps.  For g = 1, h is the modulus itself, which
+    reduces to 0.  Entries lie in 0..p-1 and are packed `width` bits apart,
+    enough for a sum of n rows times multipliers below p, so adding
+    multiples of packed rows adds their entries.  Callers ask about one
+    divisor many times in a row and then move on, so only the last
+    divisor's table is kept: a census would otherwise hold the tables of
+    every row it emits.
     """
     _require_divisor(g, n, eps)
     h = code_modulus(n, eps, g.p) // g
-    degrees = np.arange(n)[:, None] + np.arange(h.degree + 1)
-    terms = np.where(degrees >= n, (-1) ** eps, 1) * np.array(h.coeffs)
-    check = np.zeros((n, n), dtype=np.int64)
-    np.add.at(check, (np.arange(n)[:, None], degrees % n), terms)
-    tables = np.array(GeneratorMatrix.from_poly(g, n).rows), check % g.p
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    width = (n * (g.p - 1) ** 2).bit_length()
+    row = sum(c << width * k for k, c in enumerate(h.coeffs)) if h.degree < n else 0
+    lanes = (1 << width * n) - 1
+    rows = [row]
+    for _ in range(n - 1):
+        last = row >> width * (n - 1)
+        row = (row << width) & lanes | (-1) ** eps * last % g.p
+        rows.append(row)
+    return tuple(rows), width
 
 
 def lifts_by_invariance(aut: DCAut, g: FpPoly, n: int, eps: int) -> bool:
@@ -56,15 +59,30 @@ def lifts_by_invariance(aut: DCAut, g: FpPoly, n: int, eps: int) -> bool:
 
     Row i of the homology block carries a single signed entry at column
     perm(i), so a word w maps to y with y[i] = sign(i) * w[perm(i)]; the
-    automorphism lifts exactly when every basis word maps back into <g>.
-    Raises ValueError unless g is a monic proper divisor of the modulus.
+    automorphism lifts exactly when every basis word x^i * g maps back into
+    <g>.  The image of x^i * g is nonzero only at the deg g + 1 places that
+    perm sends into its support, so only those rows of the check table are
+    summed.  Raises ValueError unless g is a monic proper divisor of the
+    modulus.
     """
     if aut.n != n:
         raise ValueError("automorphism and code disagree on the cycle length")
-    basis, check = _code_tables(g, n, eps)
+    rows, width = _check_rows(g, n, eps)
     perm, sign = aut.homology_action()
-    images = basis[:, perm[:n]] * sign[:n]
-    return not (images @ check % g.p).any()
+    source = [0] * n
+    for i in range(n):
+        source[perm[i]] = i
+    entry = (1 << width) - 1
+    places = range(0, width * n, width)
+    for shift in range(n - g.degree):
+        total = 0
+        for k, c in enumerate(g.coeffs, shift):
+            i = source[k]
+            total += c * sign[i] % g.p * rows[i]
+        for place in places:
+            if (total >> place & entry) % g.p:
+                return False
+    return True
 
 
 def lifting_swaps(g: FpPoly, n: int, eps: int) -> list[int]:
@@ -83,63 +101,6 @@ def lifting_swaps(g: FpPoly, n: int, eps: int) -> list[int]:
     if len(hits) != 1 << len(basis):
         raise AssertionError("lifting swaps do not form a subspace")
     return basis
-
-
-# -- combinatorial lifting by forced propagation -------------------------------
-
-
-@dataclass(frozen=True)
-class Inconsistent:
-    """Witness that propagation forced two different images on one vertex."""
-
-    vertex: int
-    expected: int
-    got: int
-
-
-def lift_by_propagation(
-    aut: DCAut, cover: CoverGraph, base_image: int | None = None
-) -> np.ndarray | Inconsistent:
-    """Lift the automorphism to a vertex permutation, or return a witness.
-
-    The image of vertex 0 determines everything else: each dart at a
-    placed vertex must map to the unique dart over the image of its base
-    dart, which forces the image of the far endpoint.  Propagation runs
-    level by level from vertex 0 and either completes the permutation or
-    forces a conflicting image on some vertex.  By default vertex 0 goes to
-    the zero fiber point over its base image.  The lift is an int32 image
-    array.
-    """
-    n = cover.n
-    if aut.n != n:
-        raise ValueError("automorphism and cover disagree on the cycle length")
-    if base_image is None:
-        base_image = cover.vertex_id((0,) * cover.r, aut.vertex_image(0))
-    if cover.layer(base_image) != aut.vertex_image(0):
-        raise ValueError("base image must lie over the image of vertex 0")
-    # tracks[j, t]: track of the image of the dart of track t at base vertex j.
-    tracks = np.asarray(aut.arc_perm()).reshape(n, 4) % 4
-    ends = cover.dart_ends
-    image = np.full(cover.order, -1, dtype=np.int64)
-    image[0] = base_image
-    frontier = np.zeros(1, dtype=np.int64)
-    while len(frontier):
-        v = ends[frontier].ravel()
-        iv = ends[image[frontier][:, None], tracks[frontier // cover.fiber_size]].ravel()
-        fresh = image[v] < 0
-        image[v[fresh]] = iv[fresh]
-        bad = np.flatnonzero(image[v] != iv)
-        if len(bad):
-            w, got = int(v[bad[0]]), int(iv[bad[0]])
-            return Inconsistent(vertex=w, expected=int(image[w]), got=got)
-        reached = np.zeros(cover.order, dtype=bool)
-        reached[v[fresh]] = True
-        frontier = np.flatnonzero(reached)
-    if image.min() < 0:
-        raise AssertionError("propagation did not reach every vertex")
-    if not np.array_equal(np.sort(image), np.arange(cover.order)):
-        raise AssertionError("propagation produced a non-bijective map")
-    return image.astype(np.int32)
 
 
 # -- the lifting subgroup of a divisor ------------------------------------------
@@ -210,24 +171,3 @@ def lifting_report(info: DivisorInfo) -> LiftReport:
         base_order=base,
         lifted_order=base * info.p**info.fiber_dim,
     )
-
-
-def lifted_generators(report: LiftReport, cover: CoverGraph) -> list[np.ndarray]:
-    """Vertex permutations generating the full preimage of the base group.
-
-    One propagation lift per base generator plus the fiber translations;
-    together these generate every lift of every element of the base group,
-    a group of order base_order * p^fiber_dim.
-    """
-    info = report.info
-    basis, _ = _code_tables(info.g, info.n, info.eps)
-    if cover.p != info.p or not np.array_equal(cover.matrix.rows, basis):
-        raise ValueError("cover does not belong to the report's divisor")
-    perms: list[np.ndarray] = []
-    for g in report.generators:
-        lift = lift_by_propagation(g, cover)
-        if isinstance(lift, Inconsistent):
-            raise AssertionError(f"verified generator {g} failed to lift")
-        perms.append(lift)
-    perms.extend(cover.translations())
-    return perms

@@ -11,16 +11,10 @@ import time
 import numpy as np
 
 from dccover.census import census_rows
-from dccover.cover import build_cover, extremal_cover
+from dccover.cover import build_cover, extremal_cover, lift_by_propagation, lifted_generators
 from dccover.dcycle import DCAut
 from dccover.fpoly import FpPoly, code_modulus, compress, modulus_divisors, support_gcd
-from dccover.lift import (
-    lift_by_propagation,
-    lifted_generators,
-    lifting_report,
-    lifting_swaps,
-    lifts_by_invariance,
-)
+from dccover.lift import lifting_report, lifting_swaps, lifts_by_invariance
 from dccover.permgrp import (
     PermGroup,
     are_isomorphic,

@@ -163,6 +163,8 @@ def test_census_rejects_bad_arguments():
         (["--p", "3", "--n", "3", "--time-budget", "-1"], "--time-budget: -1 is not above 0"),
         (["--p", "3", "--n", "3", "--time-budget", "0"], "--time-budget: 0 is not above 0"),
         (["--p", "3", "--n", "3", "--max-order", "x"], "invalid int value: 'x'"),
+        (["--p", "3", "--n", ""], "--n: expected integers such as 3,5,7 or 3..8, got ''"),
+        (["--p", "3,x", "--n", "3"], "--p: expected integers such as 3,5,7 or 3..8, got '3,x'"),
     ],
 )
 def test_cli_reports_bad_sweeps_without_traceback(
@@ -185,6 +187,7 @@ def test_cli_reports_bad_sweeps_without_traceback(
         (["--p", "7", "--n", "3", "--g", "x"], "invalid literal"),
         (["--p", "7", "--n", "3", "--g", "1,1,1", "--out", "missing/g.txt"], "No such file"),
         (["--p", "7", "--n", "2", "--g", "1"], "at least three vertices"),
+        (["--p", "3", "--n", "8", "--g", "1"], "52488 vertices, above --max-order 2500"),
     ],
 )
 def test_cli_export_reports_bad_input_without_traceback(

@@ -20,9 +20,10 @@ from dccover.cover import (
     NotCertified,
     build_cover,
     extremal_cover,
+    lifted_generators,
 )
 from dccover.fpoly import FpPoly, modulus_divisors, poly_one
-from dccover.lift import lifted_generators, lifting_report
+from dccover.lift import lifting_report
 from dccover.permgrp import (
     PermGroup,
     arc_action,

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from dccover.dcycle import (
     DCAut,
-    homology_matrix,
     in_span,
     mask_bits,
     mask_reverse,
@@ -202,6 +201,17 @@ def test_text_roundtrip(g):
 
 
 # -- homology action -------------------------------------------------------
+
+
+def homology_matrix(aut, p):
+    """Matrix of the automorphism on first homology mod p, rows are images.
+
+    Row i carries the single signed entry of DCAut.homology_action.
+    """
+    perm, sign = aut.homology_action()
+    mat = np.zeros((aut.n + 1, aut.n + 1), dtype=np.int64)
+    mat[np.arange(aut.n + 1), perm] = np.array(sign) % p
+    return mat
 
 
 def test_displayed_generator_matrices():

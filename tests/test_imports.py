@@ -1,9 +1,13 @@
 """Every name a library module imports is used, the package exports what it
-imports, and the README's library example runs."""
+imports, predictions never load numpy, and the README's library example
+runs."""
 
 import ast
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,12 +43,40 @@ def test_no_unused_imports(path):
 
 
 def test_all_lists_every_public_name_of_the_package():
+    # dir() lists the lazily imported names too, and getattr resolves them,
+    # so a name the lazy table gets wrong fails here.
     public = {
         name
-        for name, value in vars(dccover).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
+        for name in dir(dccover)
+        if not name.startswith("_") and not inspect.ismodule(getattr(dccover, name))
     }
     assert set(dccover.__all__) == public
+
+
+PREDICT = """
+import os, sys
+import dccover
+from dccover.census import main
+
+info = dccover.divisor_info(dccover.FpPoly(7, (1, 1, 1)), 3, 0)
+dccover.lifting_report(info)
+argv = ["census", "--p", "3,5", "--n", "3..6", "--verify", sys.argv[1]]
+assert main([*argv, "--out", os.devnull]) == 0
+print("numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("verify, loaded", [("none", "False"), ("lifts", "True")])
+def test_predictions_never_load_numpy(verify, loaded):
+    # The prediction side is plain Python; only a verified row loads the
+    # numpy engine.  The lifts run shows the check can see numpy load.
+    src = str(Path(dccover.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", PREDICT, verify],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert done.stderr == ""
+    assert done.stdout.strip() == loaded
 
 
 def test_the_readme_library_example_runs():

@@ -7,14 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dccover.cover import CoverGraph, GeneratorMatrix, build_cover, extremal_cover
+from dccover.cover import (
+    CoverGraph,
+    GeneratorMatrix,
+    Inconsistent,
+    build_cover,
+    extremal_cover,
+    lift_by_propagation,
+    lifted_generators,
+)
 from dccover.dcycle import DCAut, in_span
 from dccover.fpoly import FpPoly, code_modulus, modulus_divisors, poly_one
 from dccover.lift import (
-    Inconsistent,
     is_minimal_cover,
-    lift_by_propagation,
-    lifted_generators,
     lifting_report,
     lifting_swaps,
     lifts_by_invariance,

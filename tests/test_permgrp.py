@@ -22,9 +22,9 @@ from dccover.permgrp import (
     perm_mult,
     transitivity_profile,
 )
-from dccover.cover import build_cover
+from dccover.cover import build_cover, lifted_generators
 from dccover.fpoly import FpPoly, modulus_divisors
-from dccover.lift import lifted_generators, lifting_report
+from dccover.lift import lifting_report
 from dccover.reflex import divisor_info
 
 
