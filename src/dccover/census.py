@@ -336,6 +336,10 @@ def _open_out(parser, path):
 
 
 def main(argv=None) -> int:
+    # The arrays are all int, so numpy's BLAS does no work here; one thread
+    # keeps OpenBLAS from starting an idle pool when numpy loads.  A value
+    # the user has set is kept, and forked --jobs workers inherit it.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

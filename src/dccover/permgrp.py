@@ -427,29 +427,63 @@ def _sorted_rows(table: np.ndarray, col: np.ndarray) -> np.ndarray:
     return np.sort(np.append(col, -1)[table], axis=1)
 
 
+def _row_keys(rows: np.ndarray, base: int) -> list[np.ndarray]:
+    """Order-preserving int64 keys of rows whose entries lie in [-1, base - 1).
+
+    A row, each entry plus one read as a digit, is a number in the given
+    base.  Its digits are cut into as few pieces as fit in an int64, and
+    each piece is folded by one matrix product against the powers of the
+    base; the shift by one moves every key alike, so it is left out.
+    Comparing the keys in turn compares the rows lexicographically.
+    """
+    width = rows.shape[1]
+    per = width
+    while base**per > 2**63:
+        per -= 1
+    return [
+        rows[:, i : i + per] @ base ** np.arange(min(per, width - i) - 1, -1, -1)
+        for i in range(0, width, per)
+    ]
+
+
 def _refine(table: np.ndarray, col: np.ndarray, count: int):
     """Colour refinement (1-dimensional Weisfeiler-Leman) of a colouring
     with count colours.
 
     Each round recolours every vertex by the rank of its row: its colour,
-    then its neighbours' colours sorted.  Rounds stop when the number of
+    then its neighbours' colours sorted.  Rows are ranked by their keys
+    (_row_keys), with one argsort and a diff of adjacent keys, or a lexsort
+    when a row takes more than one key.  Rounds stop when the number of
     colours stops growing, at the coarsest equitable partition finer than
-    col.  Ranks depend on colours alone, so relabelling the graph permutes
-    the result alike.  Returns the colouring, its number of colours and,
-    as the node invariant of the search, the distinct rows of the last
-    round as bytes.
+    col, or as soon as the colouring is discrete, which is equitable.
+    Ranks depend on colours alone, so relabelling the graph permutes the
+    result alike.  Returns the colouring, its number of colours and, as the
+    node invariant of the search, the distinct rows of a round that changes
+    no colour, as bytes.
     """
+    own = np.column_stack([np.arange(len(col)), table])
     while True:
-        rows = np.column_stack([col, _sorted_rows(table, col)])
-        order = np.lexsort(rows.T[::-1])
-        rows = rows[order]
-        fresh = np.concatenate([[True], np.any(rows[1:] != rows[:-1], axis=1)])[: len(rows)]
+        rows = np.append(col, -1)[own]
+        rows[:, 1:].sort(axis=1)
+        keys = _row_keys(rows, int(col.max(initial=-1)) + 2)
+        order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+        fresh = np.zeros(len(col), dtype=bool)
+        fresh[:1] = True
+        for key in keys:
+            key = key[order]
+            fresh[1:] |= key[1:] != key[:-1]
         col = np.empty(len(order), dtype=np.int64)
         col[order] = np.cumsum(fresh) - 1
         grown = int(fresh.sum())
         if grown == count:
-            return col, count, rows[fresh].tobytes()
+            return col, count, rows[order[fresh]].tobytes()
         count = grown
+        if count == len(col):
+            # Vertex order[c] has colour c, so these are the rows of the
+            # round that would confirm the colouring, in their sorted order.
+            rows = np.append(col, -1)[own[order]]
+            rows[:, 1:].sort(axis=1)
+            return col, count, rows.tobytes()
 
 
 class _Leaf(NamedTuple):

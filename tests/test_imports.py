@@ -1,6 +1,6 @@
 """Every name a library module imports is used, the package exports what it
-imports, predictions never load numpy, and the README's library example
-runs."""
+imports, predictions never load numpy, the command line starts no BLAS
+thread pool, and the README's library example runs."""
 
 import ast
 import inspect
@@ -77,6 +77,36 @@ def test_predictions_never_load_numpy(verify, loaded):
     )
     assert done.stderr == ""
     assert done.stdout.strip() == loaded
+
+
+BLAS = """
+import os
+from dccover.census import main
+
+assert main(["census", "--p", "3", "--n", "3..4", "--verify", "lifts", "--out", os.devnull]) == 0
+tasks = "/proc/self/task"
+print(os.environ["OPENBLAS_NUM_THREADS"], len(os.listdir(tasks)) if os.path.isdir(tasks) else "-")
+"""
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
+def test_the_command_line_runs_numpy_with_one_blas_thread(preset, want):
+    # numpy does no BLAS work here, so the CLI asks OpenBLAS for one thread
+    # before numpy loads; a value the user has set is kept.  Where the
+    # kernel lists a process's threads, the unset run has only the main one.
+    src = str(Path(dccover.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    done = subprocess.run(
+        [sys.executable, "-c", BLAS],
+        capture_output=True, text=True, env={**env, "PYTHONPATH": src}, timeout=120,
+    )
+    assert done.stderr == ""
+    value, threads = done.stdout.split()
+    assert value == want
+    if preset is None and threads != "-":
+        assert threads == "1"
 
 
 def test_the_readme_library_example_runs():
