@@ -40,7 +40,6 @@ from .lift import (
     LiftReport,
     is_minimal_cover,
     lifting_report,
-    lifting_swaps,
     lifts_by_invariance,
 )
 
@@ -51,8 +50,8 @@ _LAZY = dict.fromkeys(
      "build_cover", "extremal_cover", "lift_by_propagation", "lifted_generators"),
     "cover",
 ) | dict.fromkeys(
-    ("NotAnAutomorphism", "OracleLimit", "PermGroup", "are_isomorphic",
-     "automorphism_group", "canonical_form", "transitivity_profile"),
+    ("NotAnAutomorphism", "OracleLimit", "PermGroup", "automorphism_group",
+     "canonical_form", "transitivity_profile"),
     "permgrp",
 )
 
@@ -83,7 +82,6 @@ __all__ = [
     "OracleLimit",
     "PermGroup",
     "Reflexibility",
-    "are_isomorphic",
     "automorphism_group",
     "build_cover",
     "canonical_form",
@@ -101,7 +99,6 @@ __all__ = [
     "lift_by_propagation",
     "lifted_generators",
     "lifting_report",
-    "lifting_swaps",
     "lifts_by_invariance",
     "modulus_divisors",
     "poly_gcd",

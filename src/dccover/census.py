@@ -379,7 +379,11 @@ def _run(parser, args) -> int:
         return 2 if any(row.mismatch for row in rows) else 0
     with _open_out(parser, args.out) as stream:
         try:
-            g = FpPoly(args.p, tuple(int(c) for c in args.g.split(",")))
+            coeffs = tuple(int(c) for c in args.g.split(","))
+        except ValueError:
+            parser.error(f"--g: expected integers such as 5,1, got {args.g!r}")
+        try:
+            g = FpPoly(args.p, coeffs)
             require_proper_divisor(g, args.n, args.eps)
             order = args.n * args.p ** (args.n - g.degree)
             if order > args.max_order:

@@ -154,9 +154,6 @@ class CoverGraph:
 
     # -- graph views -----------------------------------------------------------
 
-    def adjacency(self) -> list[list[int]]:
-        return self.dart_ends.tolist()
-
     def edges(self) -> list[tuple[int, int]]:
         tails = np.repeat(np.arange(self.order), 4)
         heads = self.dart_ends.ravel()

@@ -89,10 +89,6 @@ class DCAut:
     # constructors
 
     @classmethod
-    def identity(cls, n: int) -> "DCAut":
-        return cls(n)
-
-    @classmethod
     def edge_swap(cls, n: int, j: int) -> "DCAut":
         return cls(n, swaps=1 << (j % n))
 
@@ -135,13 +131,6 @@ class DCAut:
         shift = other.shift - self.shift if other.reflect else self.shift + other.shift
         return DCAut(n, self.swaps ^ carried, self.reflect ^ other.reflect, shift)
 
-    def inverse(self) -> "DCAut":
-        n = self.n
-        mask = mask_reverse(self.swaps, n) if self.reflect else self.swaps
-        mask = mask_shift(mask, n, self.shift)
-        shift = self.shift if self.reflect else -self.shift
-        return DCAut(n, mask, self.reflect, shift)
-
     # actions
 
     def vertex_image(self, v: int) -> int:
@@ -153,9 +142,6 @@ class DCAut:
         j = (v - (t >= 2)) % self.n  # the dart's arc pair
         t ^= ((self.swaps >> j) & 1) ^ 2 * self.reflect
         return 4 * self.vertex_image(v) + t
-
-    def vertex_perm(self) -> list[int]:
-        return [self.vertex_image(v) for v in range(self.n)]
 
     def arc_perm(self) -> list[int]:
         return [self.dart_image(d) for d in range(4 * self.n)]
@@ -186,25 +172,6 @@ class DCAut:
         if self.shift:
             parts.append(f"r{self.shift}" if self.shift != 1 else "r")
         return "*".join(parts) if parts else "1"
-
-    @classmethod
-    def from_text(cls, n: int, text: str) -> "DCAut":
-        out = cls.identity(n)
-        if text.strip() == "1":
-            return out
-        for part in text.strip().split("*"):
-            if part == "s":
-                out = out * cls.reflection(n)
-            elif part == "r":
-                out = out * cls.rotation(n)
-            elif part.startswith("r"):
-                out = out * cls.rotation(n, int(part[1:]))
-            elif part.startswith("t[") and part.endswith("]"):
-                js = [int(x) for x in part[2:-1].split(",") if x]
-                out = out * cls.edge_swaps(n, js)
-            else:
-                raise ValueError(f"cannot parse factor {part!r}")
-        return out
 
     def __str__(self) -> str:
         return self.to_text()

@@ -60,10 +60,6 @@ class FpPoly:
         return not self.coeffs
 
     @property
-    def is_one(self) -> bool:
-        return self.coeffs == (1,)
-
-    @property
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 
@@ -162,11 +158,6 @@ class FpPoly:
         if self.is_zero:
             return "0"
         return " ".join(str(a) for a in self.coeffs)
-
-    @staticmethod
-    def from_text(p: int, text: str) -> FpPoly:
-        coeffs = tuple(int(tok) for tok in text.split())
-        return FpPoly(p, coeffs)
 
 
 def poly_one(p: int) -> FpPoly:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .dcycle import DCAut, span_basis, subgroup_from_case
+from .dcycle import DCAut, subgroup_from_case
 from .fpoly import FpPoly, code_modulus
 from .reflex import (
     DivisorInfo,
@@ -83,24 +83,6 @@ def lifts_by_invariance(aut: DCAut, g: FpPoly, n: int, eps: int) -> bool:
             if (total >> place & entry) % g.p:
                 return False
     return True
-
-
-def lifting_swaps(g: FpPoly, n: int, eps: int) -> list[int]:
-    """Basis masks of the group of edge swaps that lift, found exhaustively.
-
-    Lifts form a group and swaps compose by xor of their masks, so the
-    lifting swaps are a binary subspace; every mask is tested and the
-    result is checked to be closed.
-    """
-    if n > 20:
-        raise ValueError("exhaustive swap search is limited to 20 edge pairs")
-    hits = [
-        m for m in range(1 << n) if lifts_by_invariance(DCAut(n, swaps=m), g, n, eps)
-    ]
-    basis = span_basis(hits)
-    if len(hits) != 1 << len(basis):
-        raise AssertionError("lifting swaps do not form a subspace")
-    return basis
 
 
 # -- the lifting subgroup of a divisor ------------------------------------------

@@ -1,7 +1,7 @@
 """Permutation groups on integer points: orders, orbits, automorphism oracle.
 
 Permutations are image arrays: perm[x] is the image of point x.  Products
-apply left to right, so mult(p, q)[x] == q[p[x]], matching the right-action
+apply left to right, so p then q is q[p], matching the right-action
 convention used by the cover machinery.  Arrays are numpy int32 internally;
 plain lists are accepted everywhere.
 """
@@ -34,11 +34,6 @@ def as_perm(seq, degree: int | None = None) -> np.ndarray:
 
 def perm_identity(n: int) -> np.ndarray:
     return np.arange(n, dtype=np.int32)
-
-
-def perm_mult(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Apply p, then q."""
-    return q[p]
 
 
 def perm_inverse(p: np.ndarray) -> np.ndarray:
@@ -422,11 +417,6 @@ class OracleLimit(RuntimeError):
     pass
 
 
-def _sorted_rows(table: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """Row v: the colours of the neighbours of v, ascending."""
-    return np.sort(np.append(col, -1)[table], axis=1)
-
-
 def _row_keys(rows: np.ndarray, base: int) -> list[np.ndarray]:
     """Order-preserving int64 keys of rows whose entries lie in [-1, base - 1).
 
@@ -488,11 +478,10 @@ def _refine(table: np.ndarray, col: np.ndarray, count: int):
 
 class _Leaf(NamedTuple):
     """A leaf of the search: the node invariants along its path, its
-    discrete colouring, the leaf key and the vertices individualised."""
+    discrete colouring and the vertices individualised."""
 
     inv: list[bytes]
     lab: np.ndarray
-    key: bytes
     path: list[int]
 
 
@@ -501,14 +490,17 @@ class _AutSearch:
 
     A node's children individualise, one at a time, the vertices of its
     target cell: the smallest cell of more than one vertex, the one of
-    least colour on a tie.  A leaf's colouring is discrete, so it labels
-    the vertices, and the leaf key is the graph relabelled by it.
+    least colour on a tie.  A leaf's colouring is discrete, and its node
+    invariant, row by colour, is each vertex's colour, then its neighbours'
+    colours sorted: the graph relabelled by the leaf (McKay and Piperno,
+    2014).  A leaf discrete before refining keeps its individualised
+    colours, which order the vertices as the labels do.
 
-    A leaf whose key matches the first leaf's, or whose invariants and key
-    match the best leaf's, gives an automorphism.  It maps the searched
-    child subtree of their deepest common ancestor that holds the earlier
-    leaf onto the one that holds this leaf, so the search jumps back to
-    that ancestor.
+    A leaf whose last invariant matches the first leaf's, or whose
+    invariants match the best leaf's, gives an automorphism.  It maps the
+    searched child subtree of their deepest common ancestor that holds the
+    earlier leaf onto the one that holds this leaf, so the search jumps
+    back to that ancestor.
 
     Until the first leaf, every node lies on its path, and the search notes
     the size of each such node's target cell for order_bounds.
@@ -602,16 +594,15 @@ class _AutSearch:
     def _leaf(self, lab, path, inv_path) -> int | None:
         """Take in a leaf; when it matches the first or the best leaf, the
         depth of their deepest common ancestor."""
-        key = _sorted_rows(self.table, lab)[perm_inverse(lab)].tobytes()
-        leaf = _Leaf(inv_path, lab, key, path)
+        leaf = _Leaf(inv_path, lab, path)
         if self.first is None:
             self.first = self.best = leaf
             return None
-        if key == self.first.key:
+        if inv_path[-1] == self.first.inv[-1]:
             return self._record(self.first, leaf)
-        if (inv_path, key) > (self.best.inv, self.best.key):
+        if inv_path > self.best.inv:
             self.best = leaf
-        elif (inv_path, key) == (self.best.inv, self.best.key):
+        elif inv_path == self.best.inv:
             return self._record(self.best, leaf)
         return None
 
@@ -669,12 +660,4 @@ def canonical_form(
     """Vertex count and canonical key: equal for two graphs exactly when
     isomorphic."""
     table, search = _search(graph, limit, time_budget)
-    return (len(table), search.best.key)
-
-
-def are_isomorphic(graph_a, graph_b, limit: int = DEFAULT_ORACLE_LIMIT) -> bool:
-    table_a, table_b = _table(graph_a), _table(graph_b)
-    degrees = [np.sort((t < len(t)).sum(axis=1)) for t in (table_a, table_b)]
-    if not np.array_equal(*degrees):
-        return False
-    return canonical_form(table_a, limit) == canonical_form(table_b, limit)
+    return (len(table), search.best.inv[-1])

@@ -184,10 +184,12 @@ def test_cli_reports_bad_sweeps_without_traceback(
     [
         (["--p", "7", "--n", "3", "--g", "1,1"], "is not a proper divisor"),
         (["--p", "4", "--n", "3", "--g", "1"], "odd prime"),
-        (["--p", "7", "--n", "3", "--g", "x"], "invalid literal"),
+        (["--p", "7", "--n", "3", "--g", "x"], "--g: expected integers such as 5,1, got 'x'"),
         (["--p", "7", "--n", "3", "--g", "1,1,1", "--out", "missing/g.txt"], "No such file"),
         (["--p", "7", "--n", "2", "--g", "1"], "at least three vertices"),
         (["--p", "3", "--n", "8", "--g", "1"], "52488 vertices, above --max-order 2500"),
+        (["--p", "3", "--n", "3", "--g", ""], "--g: expected integers such as 5,1, got ''"),
+        (["--p", "3", "--n", "3", "--g", "1,,1"], "--g: expected integers such as 5,1, got '1,,1'"),
     ],
 )
 def test_cli_export_reports_bad_input_without_traceback(

@@ -196,7 +196,7 @@ def test_cover_invariants_across_divisors(case):
     g, n, eps = case
     cov = build_cover(g, n, eps)
     assert cov.order == n * cov.p ** cov.r
-    adj = cov.adjacency()
+    adj = cov.dart_ends.tolist()
     assert all(len(nbrs) == 4 for nbrs in adj)
     assert all(len(set(nbrs)) == 4 for nbrs in adj)  # simple
     assert cov.is_connected()
@@ -218,7 +218,7 @@ def test_cover_invariants_across_divisors(case):
 )
 def test_is_connected_matches_plain_closure(columns):
     cov = CoverGraph(GeneratorMatrix(3, tuple(zip(*columns))))
-    adj = cov.adjacency()
+    adj = cov.dart_ends.tolist()
     seen, frontier = {0}, [0]
     while frontier:
         for v in adj[frontier.pop()]:
@@ -427,7 +427,7 @@ def test_block_families_match_the_generic_construction():
             ), (kind, p, r, blocks, k)
         assert fam.order == r * blocks * p**r
         assert fam.is_connected()
-        assert all(len(set(nbrs)) == 4 for nbrs in fam.adjacency())
+        assert all(len(set(nbrs)) == 4 for nbrs in fam.dart_ends.tolist())
 
 
 def test_pm1_single_row_is_all_ones():

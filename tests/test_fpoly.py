@@ -283,8 +283,7 @@ def test_gcd_and_powmod():
     assert poly_gcd(code_modulus(3, 0, 7), poly_x(7, 1) - poly_one(7)).coeffs == (6, 1)
 
 
-def test_text_roundtrip():
-    g = FpPoly(5, (3, 0, 4, 0, 2, 0, 1))
-    assert g.to_text() == "3 0 4 0 2 0 1"
-    assert FpPoly.from_text(5, g.to_text()) == g
+def test_to_text_examples():
+    assert FpPoly(5, (3, 0, 4, 0, 2, 0, 1)).to_text() == "3 0 4 0 2 0 1"
+    assert FpPoly(7, (9, 6, 14)).to_text() == "2 6"
     assert FpPoly(7, ()).to_text() == "0"

@@ -1,6 +1,7 @@
 """Every name a library module imports is used, the package exports what it
-imports, predictions never load numpy, the command line starts no BLAS
-thread pool, and the README's library example runs."""
+imports and nothing that only tests read, predictions never load numpy, the
+command line starts no BLAS thread pool, and the README's library example
+runs."""
 
 import ast
 import inspect
@@ -51,6 +52,32 @@ def test_all_lists_every_public_name_of_the_package():
         if not name.startswith("_") and not inspect.ismodule(getattr(dccover, name))
     }
     assert set(dccover.__all__) == public
+
+
+def names_read(source: str) -> set[str]:
+    tree = ast.parse(source)
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+
+def readme_library_section() -> str:
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return re.search(r"^## Library\n(.*?)(?=^## |\Z)", readme, re.M | re.S).group(1)
+
+
+def test_every_exported_name_is_used_by_the_package_or_documented():
+    # A name only tests read belongs in the tests: each exported name is
+    # read by a library module (a definition is no read, and __init__ only
+    # exports), or the README's Library section names it.
+    read = set().union(*(names_read(path.read_text()) for path in MODULES))
+    library = readme_library_section()
+    idle = [
+        name
+        for name in dccover.__all__
+        if name not in read and not re.search(rf"\b{name}\b", library)
+    ]
+    assert idle == []
 
 
 PREDICT = """
@@ -110,6 +137,5 @@ def test_the_command_line_runs_numpy_with_one_blas_thread(preset, want):
 
 
 def test_the_readme_library_example_runs():
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    example = re.search(r"^## Library\n\n```python\n(.*?)^```", readme, re.M | re.S)
+    example = re.search(r"^```python\n(.*?)^```", readme_library_section(), re.M | re.S)
     exec(compile(example.group(1), "README.md", "exec"), {})

@@ -16,14 +16,9 @@ from dccover.cover import (
     lift_by_propagation,
     lifted_generators,
 )
-from dccover.dcycle import DCAut, in_span
+from dccover.dcycle import DCAut, in_span, span_basis
 from dccover.fpoly import FpPoly, code_modulus, modulus_divisors, poly_one
-from dccover.lift import (
-    is_minimal_cover,
-    lifting_report,
-    lifting_swaps,
-    lifts_by_invariance,
-)
+from dccover.lift import is_minimal_cover, lifting_report, lifts_by_invariance
 from dccover.permgrp import PermGroup, transitivity_profile
 from dccover.reflex import divisor_info
 
@@ -165,6 +160,24 @@ def test_type2_reflection_tail_on_the_sextic():
     assert rep.tau_l == tail
 
 
+def lifting_swaps(g: FpPoly, n: int, eps: int) -> list[int]:
+    """Basis masks of the group of edge swaps that lift, found exhaustively.
+
+    Lifts form a group and swaps compose by xor of their masks, so the
+    lifting swaps are a binary subspace; every mask is tested and the
+    result is checked to be closed.
+    """
+    if n > 20:
+        raise ValueError("exhaustive swap search is limited to 20 edge pairs")
+    hits = [
+        m for m in range(1 << n) if lifts_by_invariance(DCAut(n, swaps=m), g, n, eps)
+    ]
+    basis = span_basis(hits)
+    if len(hits) != 1 << len(basis):
+        raise AssertionError("lifting swaps do not form a subspace")
+    return basis
+
+
 def test_swap_kernel_dimension_is_the_support_step():
     for g, n, eps in small_cases():
         info = divisor_info(g, n, eps)
@@ -178,7 +191,7 @@ def test_swap_kernel_dimension_is_the_support_step():
 def test_every_swap_lifts_only_for_the_constant_divisor():
     for g, n, eps in small_cases():
         basis = lifting_swaps(g, n, eps)
-        assert (len(basis) == n) == g.is_one
+        assert (len(basis) == n) == (g == poly_one(g.p))
 
 
 # -- propagation ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The refinement search against references it does not share code with:
-the plain lexsort refinement it replaced, and networkx's VF2++ counts of
-self-isomorphisms on graphs that are not covers."""
+the plain lexsort refinement it replaced, the relabelled graph at every
+leaf, and networkx's VF2++ counts of self-isomorphisms on graphs that are
+not covers."""
 
 import random
 
@@ -10,7 +11,7 @@ import pytest
 from dccover import permgrp
 from dccover.cover import build_cover
 from dccover.fpoly import FpPoly, modulus_divisors
-from dccover.permgrp import _refine, _table, are_isomorphic, automorphism_group, canonical_form
+from dccover.permgrp import _refine, _table, automorphism_group, canonical_form
 from dccover.reflex import divisor_info
 
 
@@ -115,6 +116,36 @@ def test_refine_matches_the_reference_on_a_large_many_coloured_cover():
     assert_refines_alike(cov.dart_ends, col, 7000)
 
 
+def test_every_leaf_invariant_is_the_graph_relabelled_by_the_leaf(monkeypatch):
+    # The leaf key is the last node invariant: row c holds colour c, then
+    # the sorted colours of its vertex's neighbours.  A cover has no padding,
+    # so a colour of -1 is an individualised vertex, and ranking the colours
+    # of the first column gives the labels.
+    leaves = []
+    real = permgrp._AutSearch._leaf
+
+    def recording(search, lab, path, inv_path):
+        leaves.append((search.table, lab, inv_path[-1]))
+        return real(search, lab, path, inv_path)
+
+    monkeypatch.setattr(permgrp._AutSearch, "_leaf", recording)
+    for cover in sweep_covers(300):
+        automorphism_group(cover, limit=300)
+    kinds = set()
+    for table, lab, key in leaves:
+        rows = np.frombuffer(key, dtype=np.int64).reshape(len(lab), -1)
+        assert np.all(rows[1:, 0] > rows[:-1, 0])
+        kinds.add(np.array_equal(rows[:, 0], np.arange(len(lab))))
+        labels = np.searchsorted(rows[:, 0], rows)
+        assert np.array_equal(rows[:, 0][labels], rows)
+        by_label = np.argsort(lab)
+        want = np.column_stack([np.arange(len(lab)), np.sort(lab[table], axis=1)[by_label]])
+        assert np.array_equal(labels, want)
+    # Both kinds occur: leaves refined to the labels, and leaves discrete
+    # before refining, which keep their individualised colours.
+    assert len(leaves) > 300 and kinds == {True, False}
+
+
 # -- the oracle against VF2++ on graphs that are not covers --------------------
 
 
@@ -169,5 +200,4 @@ def test_rook_graph_and_shrikhande_graph_are_told_apart():
     ]
     assert automorphism_group(rook).order() == 1152
     assert automorphism_group(shrikhande).order() == 192
-    assert not are_isomorphic(rook, shrikhande)
     assert canonical_form(rook) != canonical_form(shrikhande)

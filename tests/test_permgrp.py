@@ -12,14 +12,12 @@ from dccover.permgrp import (
     OracleLimit,
     PermGroup,
     arc_action,
-    are_isomorphic,
     as_perm,
     automorphism_group,
     canonical_form,
     orbit_labels,
     perm_identity,
     perm_inverse,
-    perm_mult,
     transitivity_profile,
 )
 from dccover.cover import build_cover, lifted_generators
@@ -83,7 +81,7 @@ def test_as_perm_rejects_bad_input():
 def test_mult_applies_left_then_right(p, rng):
     q = list(range(len(p)))
     rng.shuffle(q)
-    r = perm_mult(as_perm(p), as_perm(q))
+    r = as_perm(q)[as_perm(p)]
     for x in range(len(p)):
         assert r[x] == q[p[x]]
 
@@ -92,8 +90,8 @@ def test_mult_applies_left_then_right(p, rng):
 def test_inverse_cancels(p):
     arr = as_perm(p)
     ident = perm_identity(len(p))
-    assert np.array_equal(perm_mult(arr, perm_inverse(arr)), ident)
-    assert np.array_equal(perm_mult(perm_inverse(arr), arr), ident)
+    assert np.array_equal(perm_inverse(arr)[arr], ident)
+    assert np.array_equal(arr[perm_inverse(arr)], ident)
 
 
 # -- stabilizer chain ---------------------------------------------------------
@@ -351,7 +349,7 @@ def test_profile_matches_plain_closure_on_small_covers():
                     if n * p**info.fiber_dim > 200:
                         continue
                     cov = build_cover(g, n, eps)
-                    adj = cov.adjacency()
+                    adj = cov.dart_ends.tolist()
                     lifted = lifted_generators(lifting_report(info), cov)
                     for gens in (lifted, cov.translations()):
                         want = closure_orbit_counts(gens, adj)
@@ -459,14 +457,13 @@ def test_canonical_form_is_relabeling_invariant(adj, rng):
         for v in adj[u]:
             relab[lab[u]].append(lab[v])
     assert canonical_form(adj) == canonical_form(relab)
-    assert are_isomorphic(adj, relab)
 
 
 def test_non_isomorphic_pairs():
     # Same vertex count and degree sequence: C6 against two triangles.
     two_triangles = [[1, 2], [0, 2], [0, 1], [4, 5], [3, 5], [3, 4]]
-    assert not are_isomorphic(cycle_adj(6), two_triangles)
-    assert not are_isomorphic(cycle_adj(5), cycle_adj(6))
+    assert canonical_form(cycle_adj(6)) != canonical_form(two_triangles)
+    assert canonical_form(cycle_adj(5)) != canonical_form(cycle_adj(6))
 
 
 def test_oracle_limit_is_enforced():
@@ -486,7 +483,7 @@ def test_time_budget_stops_the_search():
 
 def test_canonical_form_agrees_on_table_lists_and_relabelling():
     cov = build_cover(FpPoly(7, (5, 1)), 3, 0)
-    adj = cov.adjacency()
+    adj = cov.dart_ends.tolist()
     lab = np.random.default_rng(0).permutation(len(adj))
     relab = [[] for _ in adj]
     for u, nbrs in enumerate(adj):
@@ -518,7 +515,7 @@ def test_aut_order_matches_networkx_on_small_covers():
     [
         (lambda: automorphism_group([]).order(), 1),
         (lambda: canonical_form([]), (0, b"")),
-        (lambda: are_isomorphic([], []), True),
+        (lambda: canonical_form([]) == canonical_form([]), True),
     ],
 )
 def test_oracle_on_the_graph_without_vertices(call, expected):
@@ -584,7 +581,7 @@ def test_canonical_form_is_relabelling_invariant_on_sweep_covers():
                     cov = build_cover(g, n, eps)
                     lab = rng.permutation(cov.order)
                     relab = [[] for _ in range(cov.order)]
-                    for u, nbrs in enumerate(cov.adjacency()):
+                    for u, nbrs in enumerate(cov.dart_ends.tolist()):
                         relab[lab[u]] = [int(lab[v]) for v in nbrs]
                     assert canonical_form(cov, limit=300) == canonical_form(
                         relab, limit=300
