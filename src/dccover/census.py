@@ -76,6 +76,23 @@ class CensusRow:
     mismatch: str | None = None
 
 
+# The base-dart groups of this census_rows call, by their darts and induced
+# generators: every cover of one n whose generators lift alike shares one.
+_BASE_GROUPS: dict[tuple, tuple[int, dict | None]] = {}
+
+
+def _base_group(on_darts, base, verify: str) -> tuple[int, dict | None]:
+    """The order of the group the base-dart permutations generate, and its
+    transitivity profile at the orbits and aut tiers; each group once."""
+    profiled = verify in ("orbits", "aut")
+    key = (profiled, base.reversal.tobytes(), *(perm.tobytes() for perm in on_darts))
+    if key not in _BASE_GROUPS:
+        group = PermGroup(on_darts, len(base.reversal))
+        order = group.order()
+        _BASE_GROUPS[key] = order, transitivity_profile(group, base) if profiled else None
+    return _BASE_GROUPS[key]
+
+
 def _census_row(task) -> CensusRow:
     p, n, eps, g, verify, max_order, aut_limit, time_budget = task
     info = divisor_info(g, n, eps)
@@ -111,14 +128,13 @@ def _census_row(task) -> CensusRow:
     except NotCertified as err:
         mismatches.append(f"lifted group not certified: {err}")
     else:
-        group = PermGroup(on_darts, 4 * n)
-        row["verified_order"] = group.order() * cover.fiber_size
+        order, prof = _base_group(on_darts, base, verify)
+        row["verified_order"] = order * cover.fiber_size
         if row["verified_order"] != rep.lifted_order:
             mismatches.append(
                 f"lifted group order {row['verified_order']} != {rep.lifted_order}"
             )
-        if verify in ("orbits", "aut"):
-            prof = transitivity_profile(group, base)
+        if prof is not None:
             row["arc_orbits"] = prof["arc_orbits"]
             want_arcs = 1 if rep.arc_transitive else 2
             if not (prof["vertex_transitive"] and prof["edge_transitive"]):
@@ -182,6 +198,7 @@ def census_rows(
     _check_sweep(ps, ns, eps_values)
     if aut_limit is None:
         aut_limit = max_order
+    _BASE_GROUPS.clear()
     tasks = []
     for n in sorted(set(ns)):
         for p in sorted(set(ps)):
@@ -377,24 +394,25 @@ def _run(parser, args) -> int:
             else:
                 write_jsonl(rows, stream)
         return 2 if any(row.mismatch for row in rows) else 0
+    # Every refusal comes before the output is opened, so that a refused
+    # export leaves an existing --out file as it was.
+    try:
+        coeffs = tuple(int(c) for c in args.g.split(","))
+    except ValueError:
+        parser.error(f"--g: expected integers such as 5,1, got {args.g!r}")
+    try:
+        g = FpPoly(args.p, coeffs)
+        require_proper_divisor(g, args.n, args.eps)
+    except ValueError as err:
+        parser.error(str(err))
+    if args.n < 3:
+        parser.error("the base cycle needs at least three vertices")
+    order = args.n * args.p ** (args.n - g.degree)
+    if order > args.max_order:
+        parser.error(f"the cover has {order} vertices, above --max-order {args.max_order}")
     with _open_out(parser, args.out) as stream:
-        try:
-            coeffs = tuple(int(c) for c in args.g.split(","))
-        except ValueError:
-            parser.error(f"--g: expected integers such as 5,1, got {args.g!r}")
-        try:
-            g = FpPoly(args.p, coeffs)
-            require_proper_divisor(g, args.n, args.eps)
-            order = args.n * args.p ** (args.n - g.degree)
-            if order > args.max_order:
-                parser.error(
-                    f"the cover has {order} vertices, above --max-order {args.max_order}"
-                )
-            _bind_verifiers()
-            cover = build_cover(g, args.n, args.eps)
-        except ValueError as err:
-            parser.error(str(err))
-        export_graph(cover, stream, voltages=args.voltages)
+        _bind_verifiers()
+        export_graph(build_cover(g, args.n, args.eps), stream, voltages=args.voltages)
     return 0
 
 

@@ -19,13 +19,11 @@ import numpy as np
 from .dcycle import DCAut
 from .fpoly import FpPoly, is_odd_prime, require_proper_divisor
 from .lift import LiftReport
-from .permgrp import (
-    Darts,
-    NotAnAutomorphism,
-    arc_action,
-    generator_labels,
-    orbit_labels,
-)
+from .permgrp import Darts, as_perm, generator_labels, orbit_labels
+
+
+# The most darts base_action compares in one stack of generators.
+_STACK_DARTS = 1 << 14
 
 
 class NonSimpleCover(ValueError):
@@ -180,15 +178,28 @@ class CoverGraph:
 
         Returns the induced base-dart permutations and the doubled cycle as
         Darts (the projected arc reversal, and tail j of base dart 4j+t).
-        Arc 4u+t lies over base dart 4(u // fiber_size) + t, in the
-        numbering of DCAut.arc_perm.
+        The dart of track t at u lies over base dart 4(u // fiber_size) + t,
+        in the numbering of DCAut.arc_perm.
 
         Raises NotCertified, naming the check that failed, unless the cover
         is connected, every permutation maps darts to darts, sending all
         darts over one base dart to darts over one base dart, the arc
         reversal projects to base darts too, and the permutations that
         induce the identity there, which map each fiber to itself, are
-        transitive on the fiber of vertex 0.
+        transitive on the fiber of vertex 0.  The cover's own checks come
+        first, then the permutations in order, each passing as_perm before
+        the next is read.
+
+        How it is checked.  Dart (u, t) must reverse to the dart of track
+        t ^ 2 at its head, and the heads of the darts over one base dart
+        must lie in one layer, so that the reversal projects.  Each
+        permutation is read at the first vertex of each layer j: the layer
+        its image lies in, and the track map T[j] that sends each dart there
+        to the track of its image.  Every vertex of layer j must then go to
+        that layer, and every dart (u, t) to the dart of track T[j, t] at
+        the image of u: one gather compare over every dart of a stack of
+        permutations.  The cover is simple, so this proves that they are
+        automorphisms and that the projection is well defined.
 
         Why that determines G.  An element of the kernel K of the action
         that fixes a vertex fixes its four darts, which lie over four
@@ -203,37 +214,64 @@ class CoverGraph:
         """
         if not self.is_connected():
             raise NotCertified("the cover is disconnected")
-        arc_perm, (reversal, _) = arc_action(self)
-        base = (np.arange(self.order)[:, None] // self.fiber_size * 4 + np.arange(4)).ravel()
-
-        def project(arcs, what):
-            image = base[arcs]
-            on_base = np.empty(4 * self.n, dtype=np.int32)
-            on_base[base] = image
-            if not np.array_equal(on_base[base], image):
-                raise NotCertified(f"{what} does not act on the base darts")
-            return on_base
-
-        induced = []
+        n, size, ends = self.n, self.fiber_size, self.dart_ends
+        swap = np.array([2, 3, 0, 1], dtype=np.int32)
+        head_layers = (ends // size).reshape(n, size, 4)
+        if not (
+            (ends[ends, swap] == np.arange(self.order)[:, None]).all()
+            and (head_layers == head_layers[:, :1]).all()
+        ):
+            raise NotCertified("the arc reversal does not act on the base darts")
+        gens, invalid = [], None
         for perm in perms:
             try:
-                arcs = arc_perm(perm)
-            except NotAnAutomorphism as err:
-                raise NotCertified(f"a lift is not an automorphism: {err}") from None
-            induced.append(project(arcs, "a lift"))
-        on_reversal = project(reversal, "the arc reversal")
-        darts = np.arange(4 * self.n)
-        size = self.fiber_size
-        on_fiber = [
-            np.asarray(perm[:size])
-            for perm, on_base in zip(perms, induced)
-            if np.array_equal(on_base, darts)
-        ]
-        if generator_labels(on_fiber, size).any():
+                gens.append(as_perm(perm, self.order))
+            except ValueError as err:
+                invalid = err
+                break
+        flat = np.array(gens, dtype=np.int32).reshape(len(gens), self.order)
+        stack = flat.reshape(len(gens), n, size)
+        first = stack[:, :, 0]
+        to_layer = first // size
+        # track[k, j, t]: the track of the image under generator k of the dart
+        # of track t at the first vertex of layer j; 0 where no dart matches,
+        # which the dart compare then refuses.
+        track = (
+            (ends[first][:, :, None, :] == flat[:, ends[::size]][..., None])
+            .argmax(axis=-1)
+            .astype(np.int32)
+        )
+        # The compare takes the generators in stacks of at most _STACK_DARTS
+        # darts, which bounds its temporaries on large covers.
+        step = max(1, _STACK_DARTS // ends.size)
+        for lo in range(0, len(gens), step):
+            part = slice(lo, lo + step)
+            ok = (stack[part] // size == to_layer[part, :, None]).all(axis=(1, 2)) & (
+                ends.ravel()[stack[part, ..., None] * 4 + track[part, :, None, :]]
+                == flat[part, ends].reshape(stack[part].shape + (4,))
+            ).all(axis=(1, 2, 3))
+            if not ok.all():
+                raise NotCertified(self._refusal(flat[lo + np.argmin(ok)]))
+        if invalid is not None:
+            raise invalid
+        induced = (to_layer[:, :, None] * 4 + track).reshape(len(gens), 4 * n)
+        darts = np.arange(4 * n, dtype=np.int32)
+        if generator_labels(stack[(induced == darts).all(axis=1), 0], size).any():
             raise NotCertified(
                 "the lifts acting trivially on base darts are not transitive on a fiber"
             )
-        return induced, Darts(on_reversal, darts // 4)
+        reversal = (head_layers[:, 0] * 4 + swap).ravel().astype(np.int32)
+        return list(induced), Darts(reversal, darts // 4)
+
+    def _refusal(self, perm: np.ndarray) -> str:
+        """Why a permutation failed base_action's dart compare: the first dart,
+        row-major, whose image is not a dart, or else the projection."""
+        ends = self.dart_ends
+        is_dart = (perm[ends][:, :, None] == ends[perm][:, None, :]).any(axis=-1)
+        if is_dart.all():
+            return "a lift does not act on the base darts"
+        u, t = divmod(int(np.argmin(is_dart)), 4)
+        return f"a lift is not an automorphism: edge ({u},{ends[u, t]}) is not preserved"
 
 
 def build_cover(g: FpPoly, n: int, eps: int) -> CoverGraph:
@@ -299,53 +337,73 @@ def lift_by_propagation(
     the zero fiber point over its base image.  The lift is an int32 image
     array.
     """
-    n = cover.n
-    if aut.n != n:
-        raise ValueError("automorphism and cover disagree on the cycle length")
-    if base_image is None:
-        base_image = cover.vertex_id((0,) * cover.r, aut.vertex_image(0))
-    if cover.layer(base_image) != aut.vertex_image(0):
-        raise ValueError("base image must lie over the image of vertex 0")
-    # tracks[j, t]: track of the image of the dart of track t at base vertex j.
-    tracks = np.asarray(aut.arc_perm()).reshape(n, 4) % 4
-    ends = cover.dart_ends
-    image = np.full(cover.order, -1, dtype=np.int64)
-    image[0] = base_image
-    frontier = np.zeros(1, dtype=np.int64)
+    return _propagate([aut], cover, [base_image])[0]
+
+
+def _propagate(auts, cover: CoverGraph, base_images) -> list[np.ndarray | Inconsistent]:
+    """lift_by_propagation of each automorphism, in one propagation.
+
+    The levels of the breadth-first search from vertex 0 depend only on the
+    graph, so one frontier serves them all: row k of the image array is
+    the lift of auts[k], and a row stops counting at its first conflict,
+    which is the witness it would give alone.  A vertex reached by several
+    darts of one level takes the image the last of them forces.
+    """
+    if not auts:
+        return []
+    n, size, ends = cover.n, cover.fiber_size, cover.dart_ends
+    image = np.full((len(auts), cover.order), -1, dtype=np.int32)
+    for k, (aut, base) in enumerate(zip(auts, base_images)):
+        if aut.n != n:
+            raise ValueError("automorphism and cover disagree on the cycle length")
+        if base is None:
+            base = cover.vertex_id((0,) * cover.r, aut.vertex_image(0))
+        if cover.layer(base) != aut.vertex_image(0):
+            raise ValueError("base image must lie over the image of vertex 0")
+        image[k, 0] = base
+    # tracks[k, j, t]: track of the image under auts[k] of the dart of track t
+    # at base vertex j.
+    tracks = np.array([aut.arc_perm() for aut in auts], dtype=np.int32).reshape(-1, n, 4) % 4
+    out: list[np.ndarray | Inconsistent | None] = [None] * len(auts)
+    frontier = np.zeros(1, dtype=np.int32)
     while len(frontier):
         v = ends[frontier].ravel()
-        iv = ends[image[frontier][:, None], tracks[frontier // cover.fiber_size]].ravel()
-        fresh = image[v] < 0
-        image[v[fresh]] = iv[fresh]
-        bad = np.flatnonzero(image[v] != iv)
-        if len(bad):
-            w, got = int(v[bad[0]]), int(iv[bad[0]])
-            return Inconsistent(vertex=w, expected=int(image[w]), got=got)
-        reached = np.zeros(cover.order, dtype=bool)
-        reached[v[fresh]] = True
-        frontier = np.flatnonzero(reached)
-    if image.min() < 0:
+        iv = ends[image[:, frontier, None], tracks[:, frontier // size]].reshape(len(auts), -1)
+        # Every row places the same vertices at each level, so row 0 tells.
+        fresh = np.flatnonzero(image[0, v] < 0)
+        frontier, last = np.unique(v[fresh][::-1], return_index=True)
+        image[:, frontier] = iv[:, fresh[len(fresh) - 1 - last]]
+        bad = image[:, v] != iv
+        for k in np.flatnonzero(bad.any(axis=1)):
+            if out[k] is None:
+                i = int(np.argmax(bad[k]))
+                w = int(v[i])
+                out[k] = Inconsistent(vertex=w, expected=int(image[k, w]), got=int(iv[k, i]))
+        if None not in out:
+            return out
+    lifts = [k for k, got in enumerate(out) if got is None]
+    if (image[lifts] < 0).any():
         raise AssertionError("propagation did not reach every vertex")
-    if not np.array_equal(np.sort(image), np.arange(cover.order)):
+    if not (np.sort(image[lifts], axis=1) == np.arange(cover.order)).all():
         raise AssertionError("propagation produced a non-bijective map")
-    return image.astype(np.int32)
+    for k in lifts:
+        out[k] = image[k]
+    return out
 
 
 def lifted_generators(report: LiftReport, cover: CoverGraph) -> list[np.ndarray]:
     """Vertex permutations generating the full preimage of the base group.
 
-    One propagation lift per base generator plus the fiber translations;
-    together these generate every lift of every element of the base group,
-    a group of order base_order * p^fiber_dim.
+    One propagation lifts every base generator; with the fiber translations
+    these generate every lift of every element of the base group, a group
+    of order base_order * p^fiber_dim.
     """
     info = report.info
     if cover.matrix != GeneratorMatrix.from_poly(info.g, info.n):
         raise ValueError("cover does not belong to the report's divisor")
-    perms: list[np.ndarray] = []
-    for g in report.generators:
-        lift = lift_by_propagation(g, cover)
+    gens = report.generators
+    perms = _propagate(gens, cover, [None] * len(gens))
+    for g, lift in zip(gens, perms):
         if isinstance(lift, Inconsistent):
             raise AssertionError(f"verified generator {g} failed to lift")
-        perms.append(lift)
-    perms.extend(cover.translations())
-    return perms
+    return perms + cover.translations()

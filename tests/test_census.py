@@ -23,6 +23,7 @@ from dccover.census import (
     _parse_ints,
 )
 import dccover.cover as cover_module
+import dccover.permgrp as permgrp
 from dccover.cover import build_cover
 from dccover.fpoly import FpPoly
 
@@ -356,9 +357,10 @@ def test_cli_exit_code_on_mismatch(monkeypatch, tmp_path):
 def test_rows_without_deck_translations_are_not_certified(monkeypatch, tmp_path):
     # Without the translations no generator acts trivially on the base darts,
     # so nothing proves the kernel fills a fiber: the row names that check
-    # instead of reporting an order, from the one arc table it certified with.
+    # instead of reporting an order.  Certification reads the cover's tracks
+    # and builds no arc table.
     real = census_mod.lifted_generators
-    real_arc_action = cover_module.arc_action
+    real_arc_action = permgrp.arc_action
     arc_tables = []
 
     def lifts_only(report, cover):
@@ -369,7 +371,8 @@ def test_rows_without_deck_translations_are_not_certified(monkeypatch, tmp_path)
         return real_arc_action(adj)
 
     monkeypatch.setattr(census_mod, "lifted_generators", lifts_only)
-    monkeypatch.setattr(cover_module, "arc_action", counted)
+    monkeypatch.setattr(permgrp, "arc_action", counted)
+    monkeypatch.setattr(cover_module, "arc_action", counted, raising=False)
     out = tmp_path / "rows.jsonl"
     code = main(
         ["census", "--p", "7", "--n", "3", "--eps", "0", "--verify", "orbits",
@@ -384,7 +387,39 @@ def test_rows_without_deck_translations_are_not_certified(monkeypatch, tmp_path)
             "darts are not transitive on a fiber"
         )
         assert row["verified_order"] is None and row["arc_orbits"] is None
-    assert len(arc_tables) == len(rows)
+    assert len(arc_tables) == 0
+
+
+def test_a_census_orders_each_base_dart_group_once(monkeypatch):
+    # The 68 verified covers of the verify-orbits sweep induce 29 distinct
+    # groups on their base darts.  The record lasts one census_rows call.
+    built = []
+    real = census_mod.PermGroup
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(census_mod, "PermGroup", counted)
+    for calls in (1, 2):
+        rows = census_rows([3, 5, 7], range(3, 6), verify="orbits", max_order=1000)
+        assert sum(row.verified_order is not None for row in rows) == 68
+        assert len(built) == 29 * calls
+        assert not any(row.mismatch for row in rows)
+
+
+def test_cli_export_refusal_keeps_the_out_file(tmp_path):
+    out = tmp_path / "cover.txt"
+    for argv in (
+        ["--p", "7", "--n", "3", "--g", "1,1"],  # not a divisor
+        ["--p", "3", "--n", "8", "--g", "1"],  # above --max-order
+        ["--p", "7", "--n", "2", "--g", "1"],  # no cover on two vertices
+    ):
+        out.write_text("keep\n")
+        with pytest.raises(SystemExit) as stop:
+            main(["export", "--eps", "0", *argv, "--out", str(out)])
+        assert stop.value.code == 2
+        assert out.read_text() == "keep\n"
 
 
 @pytest.mark.parametrize(

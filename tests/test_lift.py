@@ -13,6 +13,7 @@ from dccover.cover import (
     Inconsistent,
     build_cover,
     extremal_cover,
+    _propagate,
     lift_by_propagation,
     lifted_generators,
 )
@@ -244,6 +245,45 @@ def test_basepoint_independence():
         assert isinstance(lift_by_propagation(rot, cov, base), np.ndarray)
         base = tau0.vertex_image(0) * cov.fiber_size + v
         assert isinstance(lift_by_propagation(tau0, cov, base), Inconsistent)
+
+
+def test_a_batch_lifts_each_automorphism_as_it_lifts_alone():
+    # One propagation serves a batch; an automorphism that conflicts stops
+    # counting at its own first conflict and leaves the others running.
+    # The automorphisms are criterion 4's, drawn from the same seeds.
+    covers = mixed = 0
+    for p in (3, 5, 7):
+        for n in range(3, 9):
+            for eps in (0, 1):
+                for g in modulus_divisors(n, eps, p):
+                    if n * p ** (n - g.degree) > 300:
+                        continue
+                    cov = build_cover(g, n, eps)
+                    rng = random.Random(f"accept4:{p}:{n}:{eps}:{g.coeffs}")
+                    auts = [
+                        DCAut(n, rng.randrange(1 << n), rng.randrange(2), rng.randrange(n))
+                        for _ in range(20)
+                    ]
+                    bases = [
+                        [None] * len(auts),
+                        [
+                            a.vertex_image(0) * cov.fiber_size + rng.randrange(cov.fiber_size)
+                            for a in auts
+                        ],
+                    ]
+                    for base_images in bases:
+                        batch = _propagate(auts, cov, base_images)
+                        alone = [lift_by_propagation(a, cov, b) for a, b in zip(auts, base_images)]
+                        kinds = {isinstance(lift, Inconsistent) for lift in alone}
+                        mixed += kinds == {True, False}
+                        for got, want in zip(batch, alone, strict=True):
+                            if isinstance(want, Inconsistent):
+                                assert got == want
+                            else:
+                                assert np.array_equal(got, want)
+                    covers += 1
+    assert covers == 132
+    assert mixed == 140  # of the 264 batches, both kinds occur in these
 
 
 # -- lifting subgroup reports -----------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dccover import cover as cover_module, permgrp
+from dccover import permgrp
 from dccover.permgrp import (
     NotAnAutomorphism,
     OracleLimit,
@@ -563,7 +563,6 @@ def test_automorphism_group_builds_one_arc_action(monkeypatch):
         return real(adj)
 
     monkeypatch.setattr(permgrp, "arc_action", counted)
-    monkeypatch.setattr(cover_module, "arc_action", counted)
     aut = automorphism_group(build_cover(FpPoly(7, (5, 1)), 3, 0))
     assert aut.order() == 294
     assert len(calls) == 1
