@@ -121,6 +121,9 @@ def _census_row(task) -> CensusRow:
     cover = build_cover(g, n, eps)
     gens = lifted_generators(rep, cover)
     mismatches = []
+    # Automorphisms the aut search may start from: the lifts and deck
+    # translations once base_action has proven them, else none.
+    known = ()
     # The lifted group is certified on the 4n base darts: its order is the
     # induced group's times p^r, and its orbits are the induced group's.
     try:
@@ -128,6 +131,7 @@ def _census_row(task) -> CensusRow:
     except NotCertified as err:
         mismatches.append(f"lifted group not certified: {err}")
     else:
+        known = gens
         order, prof = _base_group(on_darts, base, verify)
         row["verified_order"] = order * cover.fiber_size
         if row["verified_order"] != rep.lifted_order:
@@ -143,7 +147,9 @@ def _census_row(task) -> CensusRow:
                 mismatches.append(f"arc orbits {prof['arc_orbits']} != {want_arcs}")
     if verify == "aut":
         try:
-            aut = automorphism_group(cover, limit=aut_limit, time_budget=time_budget)
+            aut = automorphism_group(
+                cover, limit=aut_limit, time_budget=time_budget, known=known
+            )
             row["aut_order"] = aut.order()
             if row["aut_order"] % rep.lifted_order:
                 mismatches.append(

@@ -184,11 +184,14 @@ class CoverGraph:
         Raises NotCertified, naming the check that failed, unless the cover
         is connected, every permutation maps darts to darts, sending all
         darts over one base dart to darts over one base dart, the arc
-        reversal projects to base darts too, and the permutations that
-        induce the identity there, which map each fiber to itself, are
-        transitive on the fiber of vertex 0.  The cover's own checks come
-        first, then the permutations in order, each passing as_perm before
-        the next is read.
+        reversal projects to base darts too, and the given permutations
+        that induce the identity there, which map each fiber to itself, are
+        transitive on the fiber of vertex 0.  That check reads the given
+        permutations, not the group they generate, so it refuses a
+        generating set that shows too little of the kernel even when G's
+        kernel fills a fiber; adding the deck translations supplies the
+        kernel.  The cover's own checks come first, then the permutations
+        in order, each passing as_perm before the next is read.
 
         How it is checked.  Dart (u, t) must reverse to the dart of track
         t ^ 2 at its head, and the heads of the darts over one base dart
@@ -258,7 +261,8 @@ class CoverGraph:
         darts = np.arange(4 * n, dtype=np.int32)
         if generator_labels(stack[(induced == darts).all(axis=1), 0], size).any():
             raise NotCertified(
-                "the lifts acting trivially on base darts are not transitive on a fiber"
+                "the given permutations acting trivially on base darts are not "
+                "transitive on a fiber; adding the deck translations supplies the kernel"
             )
         reversal = (head_layers[:, 0] * 4 + swap).ravel().astype(np.int32)
         return list(induced), Darts(reversal, darts // 4)

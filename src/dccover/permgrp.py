@@ -504,12 +504,18 @@ class _AutSearch:
 
     Until the first leaf, every node lies on its path, and the search notes
     the size of each such node's target cell for order_bounds.
+
+    gens starts from known, automorphisms the caller has already proven.
+    They prune by orbits from the first node on, since orbit pruning is
+    exact under any group of automorphisms, but the first child of a node
+    is never pruned: the first path and its target cells do not depend on
+    them.
     """
 
-    def __init__(self, table: np.ndarray, deadline: float | None):
+    def __init__(self, table: np.ndarray, deadline: float | None, known=()):
         self.table = table
         self.deadline = deadline
-        self.gens: list[np.ndarray] = []
+        self.gens: list[np.ndarray] = list(known)
         self.first_cells: list[int] = []
         self.first: _Leaf | None = None
         self.best: _Leaf | None = None
@@ -523,14 +529,16 @@ class _AutSearch:
         """Proven lower and upper bounds on the order of Aut, from the
         first path v_1..v_k.
 
-        The found generators that fix v_1..v_(i-1) generate a subgroup of
-        that stabiliser in the group they all generate, so the product over
-        i of the orbit lengths of v_i under them is at most the order of
-        that group.  Refinement is equivariant, so the stabiliser of
-        v_1..v_(i-1) in Aut maps v_i into the i-th target cell, and the
+        The generators, known or found, that fix v_1..v_(i-1) generate a
+        subgroup of that stabiliser in the group they all generate, so the
+        product over i of the orbit lengths of v_i under them is at most the
+        order of that group.  Refinement is equivariant, so the stabiliser
+        of v_1..v_(i-1) in Aut maps v_i into the i-th target cell, and the
         stabiliser of the discrete first leaf is trivial: the product of the
-        target-cell sizes bounds the order of Aut.  When the two products
-        meet, the generators found generate all of Aut.
+        target-cell sizes bounds the order of Aut.  Only the graph fixes the
+        cells, so known generators can raise the lower product but never
+        the upper.  When the two products meet, the generators generate all
+        of Aut.
         """
         lower = 1
         fixed = self.gens
@@ -625,31 +633,59 @@ class _AutSearch:
 DEFAULT_ORACLE_LIMIT = 256
 
 
-def _search(graph, limit: int, time_budget: float | None):
-    """The neighbour table of a graph (_table) and the finished search over
-    it; OracleLimit above limit vertices or once time_budget seconds have
-    passed."""
+def _limited_table(graph, limit: int) -> np.ndarray:
+    """The neighbour table of a graph (_table); OracleLimit above limit
+    vertices."""
     table = _table(graph)
     if len(table) > limit:
         raise OracleLimit(
             f"graph has {len(table)} vertices, above the oracle limit {limit}"
         )
+    return table
+
+
+def _search(table: np.ndarray, time_budget: float | None, known=()) -> _AutSearch:
+    """The finished search over a neighbour table, started from the known
+    automorphisms; OracleLimit once time_budget seconds have passed."""
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    return table, _AutSearch(table, deadline).run()
+    return _AutSearch(table, deadline, known).run()
+
+
+def _check_automorphisms(table: np.ndarray, perms) -> None:
+    """NotAnAutomorphism, naming the edge, when a permutation breaks one.
+    The arc table is built for each check and not kept, so that it does
+    not sit in memory through a search."""
+    arc_perm, _ = arc_action(table)
+    for g in perms:
+        arc_perm(g)
 
 
 def automorphism_group(
-    graph, limit: int = DEFAULT_ORACLE_LIMIT, time_budget: float | None = None
+    graph,
+    limit: int = DEFAULT_ORACLE_LIMIT,
+    time_budget: float | None = None,
+    known=(),
 ) -> PermGroup:
     """Full automorphism group, structure-blind, via backtracking refinement.
 
+    known holds vertex permutations already proven to be automorphisms,
+    such as a cover's certified lifts and deck translations.  The search
+    starts its generators from them and prunes by their orbits from the
+    first node.  Each is checked against the graph after the limit and
+    before the search: NotAnAutomorphism names an edge it breaks, and
+    ValueError refuses one that is not a permutation of the vertices.
+
     The group carries the search's order bounds (_AutSearch.order_bounds),
-    so its order() builds no stabilizer chain when they meet.
+    so its order() builds no stabilizer chain when they meet.  The upper
+    bound comes from the graph alone, so order() is |Aut| whatever known
+    holds.
     """
-    table, search = _search(graph, limit, time_budget)
-    arc_perm, _ = arc_action(table)
-    for g in search.gens:
-        arc_perm(g)
+    table = _limited_table(graph, limit)
+    seeds = [as_perm(g, len(table)) for g in known]
+    if seeds:
+        _check_automorphisms(table, seeds)
+    search = _search(table, time_budget, seeds)
+    _check_automorphisms(table, search.gens[len(seeds) :])
     lower, upper = search.order_bounds()
     return PermGroup(search.gens, len(table), upper_bound=upper, lower_bound=lower)
 
@@ -659,5 +695,5 @@ def canonical_form(
 ) -> tuple:
     """Vertex count and canonical key: equal for two graphs exactly when
     isomorphic."""
-    table, search = _search(graph, limit, time_budget)
-    return (len(table), search.best.inv[-1])
+    table = _limited_table(graph, limit)
+    return (len(table), _search(table, time_budget).best.inv[-1])

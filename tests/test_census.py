@@ -383,11 +383,50 @@ def test_rows_without_deck_translations_are_not_certified(monkeypatch, tmp_path)
     assert len(rows) == 7
     for row in rows:
         assert row["mismatch"] == (
-            "lifted group not certified: the lifts acting trivially on base "
-            "darts are not transitive on a fiber"
+            "lifted group not certified: the given permutations acting trivially "
+            "on base darts are not transitive on a fiber; adding the deck "
+            "translations supplies the kernel"
         )
         assert row["verified_order"] is None and row["arc_orbits"] is None
     assert len(arc_tables) == 0
+
+
+def test_uncertified_rows_still_get_their_aut_order_from_an_unseeded_search(
+    monkeypatch, tmp_path
+):
+    # The same lifts-only generators at the aut tier: the search starts from
+    # nothing, since base_action proved none of them, and finds the orders of
+    # an unpatched census.  Certified rows pass their lifts and translations.
+    argv = ["census", "--p", "7", "--n", "3", "--eps", "0", "--verify", "aut",
+            "--format", "jsonl"]
+    real_search = census_mod.automorphism_group
+    seeded = []
+
+    def recorded(cover, **kwargs):
+        seeded.append(len(kwargs["known"]))
+        return real_search(cover, **kwargs)
+
+    monkeypatch.setattr(census_mod, "automorphism_group", recorded)
+    plain = tmp_path / "plain.jsonl"
+    assert main([*argv, "--out", str(plain)]) == 0
+    assert len(seeded) == 7 and all(seeded)
+
+    real = census_mod.lifted_generators
+
+    def lifts_only(report, cover):
+        return real(report, cover)[: -cover.r]
+
+    monkeypatch.setattr(census_mod, "lifted_generators", lifts_only)
+    patched = tmp_path / "patched.jsonl"
+    assert main([*argv, "--out", str(patched)]) == 2
+    assert seeded[7:] == [0] * 7
+    want = [json.loads(line) for line in plain.read_text().splitlines()]
+    got = [json.loads(line) for line in patched.read_text().splitlines()]
+    assert [row["aut_order"] for row in got] == [row["aut_order"] for row in want]
+    assert all(row["aut_order"] for row in got)
+    for row in got:
+        assert row["mismatch"].startswith("lifted group not certified: the given permutations")
+        assert row["verified_order"] is None and row["skipped"] is None
 
 
 def test_a_census_orders_each_base_dart_group_once(monkeypatch):

@@ -394,7 +394,10 @@ def test_base_action_matches_the_arc_table_projection():
     assert refused == 38  # of the 132 covers searched
 
 
-NOT_TRANSITIVE = "the lifts acting trivially on base darts are not transitive on a fiber"
+NOT_TRANSITIVE = (
+    "the given permutations acting trivially on base darts are not transitive "
+    "on a fiber; adding the deck translations supplies the kernel"
+)
 REFUSALS = {
     "disconnected": "the cover is disconnected",
     "swapped-pair": "a lift is not an automorphism: edge (0,54) is not preserved",

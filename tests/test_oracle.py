@@ -9,9 +9,17 @@ import numpy as np
 import pytest
 
 from dccover import permgrp
-from dccover.cover import build_cover
+from dccover.cover import build_cover, lifted_generators
 from dccover.fpoly import FpPoly, modulus_divisors
-from dccover.permgrp import _refine, _table, automorphism_group, canonical_form
+from dccover.lift import lifting_report
+from dccover.permgrp import (
+    NotAnAutomorphism,
+    OracleLimit,
+    _refine,
+    _table,
+    automorphism_group,
+    canonical_form,
+)
 from dccover.reflex import divisor_info
 
 
@@ -59,13 +67,40 @@ def recorded_calls(monkeypatch, graphs, limit):
     return calls
 
 
-def sweep_covers(max_order):
+def sweep_divisors(max_order):
     for p in (3, 5, 7):
         for n in range(3, 6):
             for eps in (0, 1):
                 for g in modulus_divisors(n, eps, p):
-                    if n * p ** divisor_info(g, n, eps).fiber_dim <= max_order:
-                        yield build_cover(g, n, eps)
+                    info = divisor_info(g, n, eps)
+                    if n * p**info.fiber_dim <= max_order:
+                        yield info, build_cover(g, n, eps)
+
+
+def sweep_covers(max_order):
+    for _, cover in sweep_divisors(max_order):
+        yield cover
+
+
+def certified_covers(max_order):
+    """Each sweep cover with its lifted generators and deck translations,
+    certified as automorphisms by base_action, as a census passes them."""
+    for info, cover in sweep_divisors(max_order):
+        gens = lifted_generators(lifting_report(info), cover)
+        cover.base_action(gens)
+        yield cover, gens
+
+
+def counted_refines(monkeypatch):
+    """A list that grows by one on every _refine call from now on."""
+    calls = []
+
+    def counting(table, col, count):
+        calls.append(1)
+        return _refine(table, col, count)
+
+    monkeypatch.setattr(permgrp, "_refine", counting)
+    return calls
 
 
 def test_refine_matches_the_reference_on_every_call_of_the_sweep_searches(monkeypatch):
@@ -144,6 +179,60 @@ def test_every_leaf_invariant_is_the_graph_relabelled_by_the_leaf(monkeypatch):
     # Both kinds occur: leaves refined to the labels, and leaves discrete
     # before refining, which keep their individualised colours.
     assert len(leaves) > 300 and kinds == {True, False}
+
+
+# -- the search started from known automorphisms ---------------------------------
+
+
+def test_a_search_from_the_lifted_group_finds_the_same_group_with_fewer_refinements(
+    monkeypatch,
+):
+    # The unseeded search is the reference.  Known generators prune by
+    # orbits only, so the order and the upper bound (the first path's cells)
+    # stay those of the graph, and no cover takes more refinements.
+    calls = counted_refines(monkeypatch)
+
+    def searched(cover, known):
+        before = len(calls)
+        group = automorphism_group(cover, limit=300, known=known)
+        return group, len(calls) - before
+
+    totals = [0, 0]
+    covers = 0
+    for cover, gens in certified_covers(300):
+        plain, plain_calls = searched(cover, ())
+        seeded, seeded_calls = searched(cover, gens)
+        assert seeded.order() == plain.order()
+        assert seeded.upper_bound == plain.upper_bound
+        assert all(np.array_equal(a, b) for a, b in zip(seeded.gens, gens))
+        assert seeded_calls <= plain_calls, (cover.p, cover.n, cover.g)
+        totals[0] += plain_calls
+        totals[1] += seeded_calls
+        covers += 1
+    assert covers == 56
+    assert totals == [1188, 608]
+
+
+@pytest.mark.parametrize("case", ["broken-edge", "wrong-degree", "above-limit"])
+def test_a_known_permutation_is_checked_before_the_search(case, monkeypatch):
+    # The limit comes first, then every known permutation, then the search.
+    cover = build_cover(FpPoly(7, (5, 1)), 3, 0)
+    gens = lifted_generators(lifting_report(divisor_info(cover.g, 3, 0)), cover)
+    bad = np.arange(cover.order)
+    bad[[0, 1]] = [1, 0]
+    limit = cover.order
+    if case == "broken-edge":
+        error, text = NotAnAutomorphism, r"edge \(\d+,\d+\) is not preserved"
+    elif case == "wrong-degree":
+        bad = np.arange(cover.order + 1)
+        error, text = ValueError, f"expected degree {cover.order}, got {cover.order + 1}"
+    else:
+        limit -= 1
+        error, text = OracleLimit, f"graph has {cover.order} vertices"
+    calls = counted_refines(monkeypatch)
+    with pytest.raises(error, match=text):
+        automorphism_group(cover, limit=limit, known=[*gens, bad])
+    assert calls == []
 
 
 # -- the oracle against VF2++ on graphs that are not covers --------------------
