@@ -45,11 +45,15 @@ def perm_inverse(p: np.ndarray) -> np.ndarray:
 def orbit_labels(table: np.ndarray) -> np.ndarray:
     """The least point of each point's component.
 
-    Row x of the table lists the points one step from x, and the table must
-    be closed under reversal.  Each round lowers the labels of x and of the
-    point x's label names to the least label next to x (the second, hooking,
+    Row x of the table lists the points one step from x, and every step
+    must lie on a cycle of steps: the table is closed under reversal, or
+    each column is a permutation, whose images alone give the orbits of the
+    group it generates.  Each round lowers the labels of x and of the point
+    x's label names to the least label next to x (the second, hooking,
     keeps a randomly numbered cycle from taking a round per step), then
-    shortcuts label = label[label], until no label changes.
+    shortcuts label = label[label], until no label changes.  A label only
+    moves against a step, so without the reverse steps a cycle numbered in
+    increasing order still takes a round per step.
     """
     label = np.arange(len(table))
     while True:
@@ -180,6 +184,14 @@ class PermGroup:
         self.upper_bound = upper_bound
         self.lower_bound = lower_bound
         self._levels: list[_Level] | None = None
+
+    @classmethod
+    def _of_perms(cls, perms, degree: int, upper_bound: int, lower_bound: int):
+        """The group of int32 image arrays of the degree that as_perm has
+        already passed; they are kept as given, not checked again."""
+        group = cls((), degree, upper_bound, lower_bound)
+        group.gens = list(perms)
+        return group
 
     def order(self) -> int:
         if self.lower_bound is not None and self.lower_bound == self.upper_bound:
@@ -445,15 +457,29 @@ def _refine(table: np.ndarray, col: np.ndarray, count: int):
     (_row_keys), with one argsort and a diff of adjacent keys, or a lexsort
     when a row takes more than one key.  Rounds stop when the number of
     colours stops growing, at the coarsest equitable partition finer than
-    col, or as soon as the colouring is discrete, which is equitable.
+    col, or as soon as the colouring is discrete, which is equitable: its
+    confirming round is read in one pass, in colour order, with no keys.
     Ranks depend on colours alone, so relabelling the graph permutes the
     result alike.  Returns the colouring, its number of colours and, as the
     node invariant of the search, the distinct rows of a round that changes
     no colour, as bytes.
     """
     own = np.column_stack([np.arange(len(col)), table])
+    # The colours, then -1 for the padding sentinel; one buffer for every round.
+    padded = np.full(len(col) + 1, -1, dtype=np.int64)
+    order = None
     while True:
-        rows = np.append(col, -1)[own]
+        padded[:-1] = col
+        if count == len(col):
+            # After a round, vertex order[c] has colour c already.
+            if order is None:
+                order = np.argsort(col)
+            rows = padded[own[order]]
+            rows[:, 1:].sort(axis=1)
+            col = np.empty(len(order), dtype=np.int64)
+            col[order] = np.arange(len(order))
+            return col, count, rows.tobytes()
+        rows = padded[own]
         rows[:, 1:].sort(axis=1)
         keys = _row_keys(rows, int(col.max(initial=-1)) + 2)
         order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
@@ -468,12 +494,6 @@ def _refine(table: np.ndarray, col: np.ndarray, count: int):
         if grown == count:
             return col, count, rows[order[fresh]].tobytes()
         count = grown
-        if count == len(col):
-            # Vertex order[c] has colour c, so these are the rows of the
-            # round that would confirm the colouring, in their sorted order.
-            rows = np.append(col, -1)[own[order]]
-            rows[:, 1:].sort(axis=1)
-            return col, count, rows.tobytes()
 
 
 class _Leaf(NamedTuple):
@@ -505,17 +525,19 @@ class _AutSearch:
     Until the first leaf, every node lies on its path, and the search notes
     the size of each such node's target cell for order_bounds.
 
-    gens starts from known, automorphisms the caller has already proven.
-    They prune by orbits from the first node on, since orbit pruning is
-    exact under any group of automorphisms, but the first child of a node
-    is never pruned: the first path and its target cells do not depend on
-    them.
+    gens holds one generator per row, so that one compare picks those that
+    fix a prefix, and their transpose is a table whose orbit_labels are
+    their orbits, with no inverses.  It starts from known, automorphisms
+    the caller has already proven.  They prune by orbits from the first
+    node on, since orbit pruning is exact under any group of automorphisms,
+    but the first child of a node is never pruned: the first path and its
+    target cells do not depend on them.
     """
 
     def __init__(self, table: np.ndarray, deadline: float | None, known=()):
         self.table = table
         self.deadline = deadline
-        self.gens: list[np.ndarray] = list(known)
+        self.gens = np.array(known, dtype=np.int32).reshape(len(known), len(table))
         self.first_cells: list[int] = []
         self.first: _Leaf | None = None
         self.best: _Leaf | None = None
@@ -543,16 +565,26 @@ class _AutSearch:
         lower = 1
         fixed = self.gens
         for v in self.first.path:
-            if not fixed:
+            if not len(fixed):
                 break
-            label = generator_labels(fixed, len(self.table))
+            label = orbit_labels(fixed.T)
             lower *= int(np.count_nonzero(label == label[v]))
-            fixed = [g for g in fixed if g[v] == v]
+            fixed = fixed[fixed[:, v] == v]
         return lower, prod(self.first_cells)
 
     def _tick(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise OracleLimit("automorphism search exceeded its time budget")
+
+    def _children(self, prefix, cell) -> np.ndarray:
+        """The indices into the target cell of the vertices outside the
+        orbits of those before them, under the generators that fix the
+        prefix pointwise."""
+        keep = (self.gens[:, prefix] == prefix).all(axis=1)
+        if not keep.any():
+            return np.arange(len(cell))
+        fixed = self.gens if keep.all() else self.gens[keep]
+        return np.sort(np.unique(orbit_labels(fixed.T)[cell], return_index=True)[1])
 
     def _dfs(self, node, prefix, inv_path, on_first, best_cmp) -> int | None:
         """Search below the node; the depth to jump back to, or None."""
@@ -578,26 +610,30 @@ class _AutSearch:
         target = np.argmin(np.where(sizes > 1, sizes, len(col) + 1))
         if self.first is None:
             self.first_cells.append(int(sizes[target]))
-        tried: list[int] = []
-        labelled = None
-        for v in np.flatnonzero(col == target).tolist():
-            # Orbit pruning: skip v in the orbit of a tried vertex under the
-            # automorphisms found so far that fix the prefix pointwise.
-            if tried:
-                if labelled != len(self.gens):
-                    labelled = len(self.gens)
-                    fixed = [g for g in self.gens if np.array_equal(g[prefix], prefix)]
-                    label = generator_labels(fixed, len(col))
-                if label[v] in label[tried]:
-                    continue
-            tried.append(v)
+        cell = np.flatnonzero(col == target)
+        # Orbit pruning: skip a vertex in the orbit of a tried one under the
+        # automorphisms found so far that fix the prefix.  Orbits only merge
+        # as generators are found, so the orbits of the cell vertices before
+        # a vertex are those of the tried ones, and the cell is relabelled
+        # only after a child has added a generator.
+        at, labelled = 0, None
+        while True:
+            v = int(cell[at])
             child = 2 * col
             child[v] -= 1
             node = _refine(self.table, child, count + 1)
             jump = self._dfs(node, prefix + [v], inv_path, on_first, best_cmp)
             if jump is not None and jump < depth:
                 return jump
-        return None
+            if at + 1 == len(cell):
+                return None
+            if labelled != len(self.gens):
+                labelled = len(self.gens)
+                children = self._children(prefix, cell)
+            k = np.searchsorted(children, at, side="right")
+            if k == len(children):
+                return None
+            at = int(children[k])
 
     def _leaf(self, lab, path, inv_path) -> int | None:
         """Take in a leaf; when it matches the first or the best leaf, the
@@ -618,10 +654,8 @@ class _AutSearch:
         """Keep the automorphism sending each vertex of leaf a's labelling
         to its twin in leaf b's; the depth of their deepest common ancestor."""
         g = perm_inverse(b.lab)[a.lab]
-        if not np.array_equal(g, np.arange(len(g))) and not any(
-            np.array_equal(known, g) for known in self.gens
-        ):
-            self.gens.append(g)
+        if (g != np.arange(len(g))).any() and not (self.gens == g).all(axis=1).any():
+            self.gens = np.concatenate([self.gens, [g]])
         depth = 0
         for u, v in zip(a.path, b.path):
             if u != v:
@@ -651,13 +685,38 @@ def _search(table: np.ndarray, time_budget: float | None, known=()) -> _AutSearc
     return _AutSearch(table, deadline, known).run()
 
 
+def _check_graph(table: np.ndarray) -> None:
+    """ValueError, with arc_action's texts, when the adjacency repeats an
+    arc or is not symmetric.  The rows sorted show a repeat as two equal
+    neighbours; then each column of them is looked up in the rows of its
+    neighbours, N*d*d compares in all."""
+    rows = np.sort(table, axis=1)
+    degree = len(table)
+    real = rows < degree
+    if (real[:, 1:] & (rows[:, 1:] == rows[:, :-1])).any():
+        raise ValueError("the adjacency repeats an arc")
+    for t in range(rows.shape[1]):
+        tails = np.flatnonzero(real[:, t])
+        if not (rows[rows[tails, t]] == tails[:, None]).any(axis=1).all():
+            raise ValueError("the adjacency is not symmetric")
+
+
 def _check_automorphisms(table: np.ndarray, perms) -> None:
-    """NotAnAutomorphism, naming the edge, when a permutation breaks one.
-    The arc table is built for each check and not kept, so that it does
-    not sit in memory through a search."""
-    arc_perm, _ = arc_action(table)
+    """NotAnAutomorphism, naming the edge as arc_action does, when a
+    permutation breaks one.
+
+    On a graph that repeats no arc (_check_graph), g preserves the arcs
+    exactly when the images of each vertex's neighbours, sorted, are the
+    sorted neighbours of its image, with the padding sentinel sent to
+    itself: one gather and one row sort per permutation.  The arc table is
+    built only to name the edge."""
+    rows = np.sort(table, axis=1)
+    sentinel = len(table)
     for g in perms:
-        arc_perm(g)
+        if not np.array_equal(np.sort(np.append(g, sentinel)[table], axis=1), rows[g]):
+            arc_perm, _ = arc_action(table)
+            arc_perm(g)
+            raise AssertionError("the sorted rows refuse a permutation the arcs keep")
 
 
 def automorphism_group(
@@ -671,9 +730,12 @@ def automorphism_group(
     known holds vertex permutations already proven to be automorphisms,
     such as a cover's certified lifts and deck translations.  The search
     starts its generators from them and prunes by their orbits from the
-    first node.  Each is checked against the graph after the limit and
-    before the search: NotAnAutomorphism names an edge it breaks, and
-    ValueError refuses one that is not a permutation of the vertices.
+    first node.  After the limit, and before the search, ValueError refuses
+    an entry of known that is not a permutation of the vertices, then a
+    graph whose adjacency repeats an arc or is not symmetric
+    (_check_graph); NotAnAutomorphism then names an edge that a known
+    permutation breaks.  The generators the search finds are checked the
+    same way.
 
     The group carries the search's order bounds (_AutSearch.order_bounds),
     so its order() builds no stabilizer chain when they meet.  The upper
@@ -682,12 +744,12 @@ def automorphism_group(
     """
     table = _limited_table(graph, limit)
     seeds = [as_perm(g, len(table)) for g in known]
-    if seeds:
-        _check_automorphisms(table, seeds)
+    _check_graph(table)
+    _check_automorphisms(table, seeds)
     search = _search(table, time_budget, seeds)
     _check_automorphisms(table, search.gens[len(seeds) :])
     lower, upper = search.order_bounds()
-    return PermGroup(search.gens, len(table), upper_bound=upper, lower_bound=lower)
+    return PermGroup._of_perms(search.gens, len(table), upper, lower)
 
 
 def canonical_form(

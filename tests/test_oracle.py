@@ -1,7 +1,8 @@
 """The refinement search against references it does not share code with:
 the plain lexsort refinement it replaced, the relabelled graph at every
-leaf, and networkx's VF2++ counts of self-isomorphisms on graphs that are
-not covers."""
+leaf, the per-vertex pruning loop and the arc-table check it replaced, and
+networkx's VF2++ counts of self-isomorphisms on graphs that are not
+covers."""
 
 import random
 
@@ -17,8 +18,10 @@ from dccover.permgrp import (
     OracleLimit,
     _refine,
     _table,
+    arc_action,
     automorphism_group,
     canonical_form,
+    generator_labels,
 )
 from dccover.reflex import divisor_info
 
@@ -149,6 +152,19 @@ def test_refine_matches_the_reference_on_a_large_many_coloured_cover():
     col = np.arange(cov.order, dtype=np.int64) * 7919 % 7000
     assert needs_several_keys(cov.dart_ends, col)
     assert_refines_alike(cov.dart_ends, col, 7000)
+
+
+@pytest.mark.parametrize("graph", ["cover", "spider"])
+def test_refine_matches_the_reference_on_a_discrete_colouring(graph):
+    # A discrete colouring is confirmed in one pass; the spider's rows are
+    # padded, and the colours include -1, the sentinel's.
+    if graph == "cover":
+        table = build_cover(FpPoly(7, (5, 1)), 3, 0).dart_ends
+    else:
+        table = _table([[1, 2, 3], [0, 4], [0, 5], [0, 6], [1], [2], [3]])
+    col = 2 * np.random.default_rng(5).permutation(len(table)) - 1
+    assert col.min() == -1
+    assert_refines_alike(table, col, len(table))
 
 
 def test_every_leaf_invariant_is_the_graph_relabelled_by_the_leaf(monkeypatch):
@@ -290,3 +306,181 @@ def test_rook_graph_and_shrikhande_graph_are_told_apart():
     assert automorphism_group(rook).order() == 1152
     assert automorphism_group(shrikhande).order() == 192
     assert canonical_form(rook) != canonical_form(shrikhande)
+
+
+# -- the search's checks and walk against the ones they replaced ------------------
+
+
+@pytest.mark.parametrize(
+    "adj, message",
+    [
+        ([[1], []], "the adjacency is not symmetric"),
+        ([[1, 1], [0, 0]], "the adjacency repeats an arc"),
+    ],
+    ids=["asymmetric", "repeated-arc"],
+)
+def test_automorphism_group_refuses_a_graph_before_the_search(adj, message, monkeypatch):
+    # With no known permutation to check, the graph is still refused with
+    # arc_action's text, and no refinement runs.
+    calls = counted_refines(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        arc_action(adj)
+    with pytest.raises(ValueError, match=message):
+        automorphism_group(adj)
+    assert calls == []
+
+
+def verdict(check, table, g):
+    """The NotAnAutomorphism text a check raises on g, None when it passes."""
+    try:
+        check(table, g)
+    except NotAnAutomorphism as err:
+        return str(err)
+    return None
+
+
+def by_arc_table(table, g):
+    arc_action(table)[0](g)
+
+
+def by_sorted_rows(table, g):
+    permgrp._check_automorphisms(table, [g])
+
+
+@pytest.mark.parametrize("graphs", ["sweep covers", "padded gate graphs"])
+def test_the_sorted_row_check_agrees_with_the_arc_table(graphs):
+    # Random products of the generators, half of them with two images
+    # swapped, are accepted and refused alike, with the same edge named.
+    if graphs == "sweep covers":
+        tables = [cover.dart_ends for cover in sweep_covers(300)]
+        assert len(tables) == 56
+    else:
+        nx = pytest.importorskip("networkx")
+        tables = [_table(adjacency(graph, nx)) for graph in gate_graphs(nx)]
+        assert sum((table == len(table)).any() for table in tables) == 180
+    rng = np.random.default_rng(21)
+    kinds = set()
+    for table in tables:
+        gens = automorphism_group(table, limit=300).gens
+        for _ in range(8):
+            g = np.arange(len(table), dtype=np.int32)
+            for k in rng.integers(len(gens), size=rng.integers(4) if gens else 0):
+                g = gens[k][g]
+            if rng.integers(2) and len(table) > 1:
+                i, j = rng.choice(len(table), 2, replace=False)
+                g[[i, j]] = g[[j, i]]
+            want = verdict(by_arc_table, table, g)
+            assert verdict(by_sorted_rows, table, g) == want
+            kinds.add(want is None)
+    assert kinds == {True, False}
+
+
+def test_the_children_of_a_cell_are_the_first_of_each_orbit_in_it():
+    # In cell order: the vertices whose orbit, under the generators that fix
+    # the prefix, holds no vertex earlier in the cell.
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        degree = int(rng.integers(2, 12))
+        prefix = [0] if rng.integers(2) else []
+        gens = []
+        for _ in range(rng.integers(4)):
+            g = rng.permutation(degree)
+            if rng.integers(2):
+                g[g == 0], g[0] = g[0], 0
+            gens.append(g)
+        cell = np.sort(rng.choice(degree, int(rng.integers(1, degree + 1)), replace=False))
+        search = permgrp._AutSearch(np.zeros((degree, 0), dtype=np.int64), None, gens)
+        fixed = [g for g in gens if np.array_equal(g[prefix], prefix)]
+        label = generator_labels(fixed, degree)
+        want = [i for i, v in enumerate(cell) if label[v] not in label[cell[:i]]]
+        assert search._children(prefix, cell).tolist() == want
+
+
+def reference_dfs(self, node, prefix, inv_path, on_first, best_cmp):
+    """_AutSearch._dfs with the per-vertex pruning loop that the orbit walk
+    replaced: each vertex of the target cell is skipped when its orbit
+    label, under the generators and their inverses that fix the prefix,
+    is that of a vertex already tried."""
+    self._tick()
+    col, count, inv = node
+    inv_path = inv_path + [inv]
+    depth = len(inv_path) - 1
+    if on_first and self.first is not None:
+        if depth >= len(self.first.inv) or self.first.inv[depth] != inv:
+            on_first = False
+    if best_cmp == "EQ" and self.best is not None:
+        if depth >= len(self.best.inv):
+            best_cmp = "GT"
+        elif inv > self.best.inv[depth]:
+            best_cmp = "GT"
+        elif inv < self.best.inv[depth]:
+            best_cmp = "LT"
+    if self.best is not None and best_cmp == "LT" and not on_first:
+        return None
+    if count == len(col):
+        return self._leaf(col, prefix, inv_path)
+    sizes = np.bincount(col)
+    target = np.argmin(np.where(sizes > 1, sizes, len(col) + 1))
+    if self.first is None:
+        self.first_cells.append(int(sizes[target]))
+    tried = []
+    labelled = None
+    for v in np.flatnonzero(col == target).tolist():
+        if tried:
+            if labelled != len(self.gens):
+                labelled = len(self.gens)
+                fixed = [g for g in self.gens if np.array_equal(g[prefix], prefix)]
+                label = generator_labels(fixed, len(col))
+            if label[v] in label[tried]:
+                continue
+        tried.append(v)
+        child = 2 * col
+        child[v] -= 1
+        node = permgrp._refine(self.table, child, count + 1)
+        jump = self._dfs(node, prefix + [v], inv_path, on_first, best_cmp)
+        if jump is not None and jump < depth:
+            return jump
+    return None
+
+
+def searched(monkeypatch, searches):
+    """The colouring and count of every _refine call the searches make, and
+    the generators of each group they return."""
+    calls = []
+
+    def recording(table, col, count):
+        calls.append((col.tobytes(), count))
+        return _refine(table, col, count)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(permgrp, "_refine", recording)
+        groups = [np.array(search().gens).tobytes() for search in searches]
+    return calls, groups
+
+
+@pytest.mark.parametrize("graphs", ["sweep covers", "networkx gate graphs", "K16"])
+def test_the_orbit_walk_refines_what_the_per_vertex_loop_refines(graphs, monkeypatch):
+    # The same children, in the same order, so the same refinements, leaves
+    # and generators, with known automorphisms and without.
+    if graphs == "sweep covers":
+        searches = []
+        for cover, gens in certified_covers(300):
+            searches.append(lambda cover=cover: automorphism_group(cover, limit=300))
+            searches.append(
+                lambda cover=cover, gens=gens: automorphism_group(cover, limit=300, known=gens)
+            )
+        assert len(searches) == 2 * 56
+    elif graphs == "networkx gate graphs":
+        nx = pytest.importorskip("networkx")
+        adjs = [adjacency(graph, nx) for graph in gate_graphs(nx)]
+        searches = [lambda adj=adj: automorphism_group(adj) for adj in adjs]
+        assert len(searches) == 281
+    else:
+        k16 = [[v for v in range(16) if v != u] for u in range(16)]
+        searches = [lambda: automorphism_group(k16, limit=16)]
+    walked = searched(monkeypatch, searches)
+    monkeypatch.setattr(permgrp._AutSearch, "_dfs", reference_dfs)
+    looped = searched(monkeypatch, searches)
+    assert walked == looped
+    if graphs == "sweep covers":
+        assert len(walked[0]) == 1188 + 608

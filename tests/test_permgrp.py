@@ -552,9 +552,10 @@ def test_aut_order_runs_the_chain_when_the_bounds_differ(coeffs):
     assert aut._levels is not None
 
 
-def test_automorphism_group_builds_one_arc_action(monkeypatch):
-    # The generators are checked through one arc table; the order needs no
-    # second one, as the fiber bound of the cover did.
+def test_automorphism_group_builds_an_arc_table_only_to_name_a_broken_edge(monkeypatch):
+    # The generators, known and found, are checked by their sorted rows, so
+    # no arc table is built while every one is an automorphism; a known
+    # permutation that breaks an edge builds one, which names the edge.
     calls = []
     real = permgrp.arc_action
 
@@ -563,9 +564,37 @@ def test_automorphism_group_builds_one_arc_action(monkeypatch):
         return real(adj)
 
     monkeypatch.setattr(permgrp, "arc_action", counted)
-    aut = automorphism_group(build_cover(FpPoly(7, (5, 1)), 3, 0))
-    assert aut.order() == 294
+    cover = build_cover(FpPoly(7, (5, 1)), 3, 0)
+    gens = lifted_generators(lifting_report(divisor_info(cover.g, 3, 0)), cover)
+    assert automorphism_group(cover).order() == 294
+    assert automorphism_group(cover, known=gens).order() == 294
+    assert calls == []
+    bad = np.arange(cover.order)
+    bad[[0, 1]] = [1, 0]
+    with pytest.raises(NotAnAutomorphism, match=r"edge \(\d+,\d+\) is not preserved"):
+        automorphism_group(cover, known=[*gens, bad])
     assert len(calls) == 1
+
+
+def test_the_group_of_automorphisms_is_not_checked_again(monkeypatch):
+    # Each known permutation passes as_perm once, and the returned group
+    # takes it and the found generators unchecked; PermGroup itself still
+    # checks what it is given.
+    calls = []
+    real = permgrp.as_perm
+
+    def counted(seq, degree=None):
+        calls.append(1)
+        return real(seq, degree)
+
+    monkeypatch.setattr(permgrp, "as_perm", counted)
+    cover = build_cover(FpPoly(7, (5, 1)), 3, 0)
+    gens = lifted_generators(lifting_report(divisor_info(cover.g, 3, 0)), cover)
+    aut = automorphism_group(cover, known=gens)
+    assert len(calls) == len(gens)
+    assert all(np.array_equal(a, b) for a, b in zip(aut.gens, gens))
+    assert PermGroup(aut.gens).order() == aut.order() == 294
+    assert len(calls) == len(gens) + len(aut.gens)
 
 
 def test_canonical_form_is_relabelling_invariant_on_sweep_covers():
