@@ -22,10 +22,6 @@ from .lift import LiftReport
 from .permgrp import Darts, as_perm, generator_labels, orbit_labels
 
 
-# The most darts base_action compares in one stack of generators.
-_STACK_DARTS = 1 << 14
-
-
 class NonSimpleCover(ValueError):
     """A zero matrix column would merge the two parallel arcs of a layer."""
 
@@ -200,9 +196,9 @@ class CoverGraph:
         its image lies in, and the track map T[j] that sends each dart there
         to the track of its image.  Every vertex of layer j must then go to
         that layer, and every dart (u, t) to the dart of track T[j, t] at
-        the image of u: one gather compare over every dart of a stack of
-        permutations.  The cover is simple, so this proves that they are
-        automorphisms and that the projection is well defined.
+        the image of u: one gather compare over the darts of each
+        permutation in turn.  The cover is simple, so this proves that they
+        are automorphisms and that the projection is well defined.
 
         Why that determines G.  An element of the kernel K of the action
         that fixes a vertex fixes its four darts, which lie over four
@@ -225,47 +221,30 @@ class CoverGraph:
             and (head_layers == head_layers[:, :1]).all()
         ):
             raise NotCertified("the arc reversal does not act on the base darts")
-        gens, invalid = [], None
-        for perm in perms:
-            try:
-                gens.append(as_perm(perm, self.order))
-            except ValueError as err:
-                invalid = err
-                break
-        flat = np.array(gens, dtype=np.int32).reshape(len(gens), self.order)
-        stack = flat.reshape(len(gens), n, size)
-        first = stack[:, :, 0]
-        to_layer = first // size
-        # track[k, j, t]: the track of the image under generator k of the dart
-        # of track t at the first vertex of layer j; 0 where no dart matches,
-        # which the dart compare then refuses.
-        track = (
-            (ends[first][:, :, None, :] == flat[:, ends[::size]][..., None])
-            .argmax(axis=-1)
-            .astype(np.int32)
-        )
-        # The compare takes the generators in stacks of at most _STACK_DARTS
-        # darts, which bounds its temporaries on large covers.
-        step = max(1, _STACK_DARTS // ends.size)
-        for lo in range(0, len(gens), step):
-            part = slice(lo, lo + step)
-            ok = (stack[part] // size == to_layer[part, :, None]).all(axis=(1, 2)) & (
-                ends.ravel()[stack[part, ..., None] * 4 + track[part, :, None, :]]
-                == flat[part, ends].reshape(stack[part].shape + (4,))
-            ).all(axis=(1, 2, 3))
-            if not ok.all():
-                raise NotCertified(self._refusal(flat[lo + np.argmin(ok)]))
-        if invalid is not None:
-            raise invalid
-        induced = (to_layer[:, :, None] * 4 + track).reshape(len(gens), 4 * n)
         darts = np.arange(4 * n, dtype=np.int32)
-        if generator_labels(stack[(induced == darts).all(axis=1), 0], size).any():
+        top = ends[::size]
+        induced, kernel = [], []
+        for perm in perms:
+            perm = as_perm(perm, self.order)
+            rows = perm.reshape(n, size)
+            first = rows[:, :1]
+            # track[j, t]: the track of the image of the dart of track t at the
+            # first vertex of layer j; 0 where no dart matches, which the dart
+            # compare then refuses.
+            track = (ends[first] == perm[top][..., None]).argmax(axis=-1).astype(np.int32)
+            heads = ends.ravel()[rows[..., None] * 4 + track[:, None]].reshape(-1, 4)
+            if not ((rows // size == first // size).all() and (heads == perm[ends]).all()):
+                raise NotCertified(self._refusal(perm))
+            induced.append((first // size * 4 + track).ravel())
+            if (induced[-1] == darts).all():
+                kernel.append(rows[0])
+        if generator_labels(kernel, size).any():
             raise NotCertified(
                 "the given permutations acting trivially on base darts are not "
                 "transitive on a fiber; adding the deck translations supplies the kernel"
             )
         reversal = (head_layers[:, 0] * 4 + swap).ravel().astype(np.int32)
-        return list(induced), Darts(reversal, darts // 4)
+        return induced, Darts(reversal, darts // 4)
 
     def _refusal(self, perm: np.ndarray) -> str:
         """Why a permutation failed base_action's dart compare: the first dart,
@@ -337,26 +316,31 @@ def lift_by_propagation(
     placed vertex must map to the unique dart over the image of its base
     dart, which forces the image of the far endpoint.  Propagation runs
     level by level from vertex 0 and either completes the permutation or
-    forces a conflicting image on some vertex.  By default vertex 0 goes to
-    the zero fiber point over its base image.  The lift is an int32 image
-    array.
+    stops at the first level where a dart forces a conflicting image on a
+    vertex; the witness is the first such dart's.  By default vertex 0 goes
+    to the zero fiber point over its base image.  The lift is an int32
+    image array.
     """
-    return _propagate([aut], cover, [base_image])[0]
+    lifted = _propagate([aut], cover, [base_image])
+    return lifted[1] if isinstance(lifted, tuple) else lifted[0]
 
 
-def _propagate(auts, cover: CoverGraph, base_images) -> list[np.ndarray | Inconsistent]:
-    """lift_by_propagation of each automorphism, in one propagation.
+def _propagate(auts, cover: CoverGraph, base_images) -> np.ndarray | tuple[int, Inconsistent]:
+    """lift_by_propagation of every automorphism, in one propagation: the
+    array whose row k is the lift of auts[k], or else the index and witness
+    of the first to conflict.
 
     The levels of the breadth-first search from vertex 0 depend only on the
-    graph, so one frontier serves them all: row k of the image array is
-    the lift of auts[k], and a row stops counting at its first conflict,
-    which is the witness it would give alone.  A vertex reached by several
-    darts of one level takes the image the last of them forces.
+    graph, so one frontier serves them all, and no row reads another.  The
+    first level at which some row conflicts ends the batch, with the lowest
+    such row at its first conflicting dart: the witness that automorphism
+    gives alone.  A vertex reached by several darts of one level takes the
+    image the last of them forces.
     """
-    if not auts:
-        return []
     n, size, ends = cover.n, cover.fiber_size, cover.dart_ends
     image = np.full((len(auts), cover.order), -1, dtype=np.int32)
+    if not auts:
+        return image
     for k, (aut, base) in enumerate(zip(auts, base_images)):
         if aut.n != n:
             raise ValueError("automorphism and cover disagree on the cycle length")
@@ -368,7 +352,6 @@ def _propagate(auts, cover: CoverGraph, base_images) -> list[np.ndarray | Incons
     # tracks[k, j, t]: track of the image under auts[k] of the dart of track t
     # at base vertex j.
     tracks = np.array([aut.arc_perm() for aut in auts], dtype=np.int32).reshape(-1, n, 4) % 4
-    out: list[np.ndarray | Inconsistent | None] = [None] * len(auts)
     frontier = np.zeros(1, dtype=np.int32)
     while len(frontier):
         v = ends[frontier].ravel()
@@ -378,21 +361,15 @@ def _propagate(auts, cover: CoverGraph, base_images) -> list[np.ndarray | Incons
         frontier, last = np.unique(v[fresh][::-1], return_index=True)
         image[:, frontier] = iv[:, fresh[len(fresh) - 1 - last]]
         bad = image[:, v] != iv
-        for k in np.flatnonzero(bad.any(axis=1)):
-            if out[k] is None:
-                i = int(np.argmax(bad[k]))
-                w = int(v[i])
-                out[k] = Inconsistent(vertex=w, expected=int(image[k, w]), got=int(iv[k, i]))
-        if None not in out:
-            return out
-    lifts = [k for k, got in enumerate(out) if got is None]
-    if (image[lifts] < 0).any():
+        if bad.any():
+            k, i = divmod(int(np.argmax(bad)), len(v))
+            w = int(v[i])
+            return k, Inconsistent(vertex=w, expected=int(image[k, w]), got=int(iv[k, i]))
+    if (image < 0).any():
         raise AssertionError("propagation did not reach every vertex")
-    if not (np.sort(image[lifts], axis=1) == np.arange(cover.order)).all():
+    if not (np.sort(image, axis=1) == np.arange(cover.order)).all():
         raise AssertionError("propagation produced a non-bijective map")
-    for k in lifts:
-        out[k] = image[k]
-    return out
+    return image
 
 
 def lifted_generators(report: LiftReport, cover: CoverGraph) -> list[np.ndarray]:
@@ -406,8 +383,7 @@ def lifted_generators(report: LiftReport, cover: CoverGraph) -> list[np.ndarray]
     if cover.matrix != GeneratorMatrix.from_poly(info.g, info.n):
         raise ValueError("cover does not belong to the report's divisor")
     gens = report.generators
-    perms = _propagate(gens, cover, [None] * len(gens))
-    for g, lift in zip(gens, perms):
-        if isinstance(lift, Inconsistent):
-            raise AssertionError(f"verified generator {g} failed to lift")
-    return perms + cover.translations()
+    lifted = _propagate(gens, cover, [None] * len(gens))
+    if isinstance(lifted, tuple):
+        raise AssertionError(f"verified generator {gens[lifted[0]]} failed to lift")
+    return list(lifted) + cover.translations()

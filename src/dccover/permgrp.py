@@ -532,11 +532,14 @@ class _AutSearch:
     node on, since orbit pruning is exact under any group of automorphisms,
     but the first child of a node is never pruned: the first path and its
     target cells do not depend on them.
+
+    run raises OracleLimit once time_budget seconds have passed since the
+    search was made; None sets no limit.
     """
 
-    def __init__(self, table: np.ndarray, deadline: float | None, known=()):
+    def __init__(self, table: np.ndarray, time_budget: float | None, known=()):
         self.table = table
-        self.deadline = deadline
+        self.deadline = None if time_budget is None else time.monotonic() + time_budget
         self.gens = np.array(known, dtype=np.int32).reshape(len(known), len(table))
         self.first_cells: list[int] = []
         self.first: _Leaf | None = None
@@ -678,13 +681,6 @@ def _limited_table(graph, limit: int) -> np.ndarray:
     return table
 
 
-def _search(table: np.ndarray, time_budget: float | None, known=()) -> _AutSearch:
-    """The finished search over a neighbour table, started from the known
-    automorphisms; OracleLimit once time_budget seconds have passed."""
-    deadline = None if time_budget is None else time.monotonic() + time_budget
-    return _AutSearch(table, deadline, known).run()
-
-
 def _check_graph(table: np.ndarray) -> None:
     """ValueError, with arc_action's texts, when the adjacency repeats an
     arc or is not symmetric.  The rows sorted show a repeat as two equal
@@ -746,7 +742,7 @@ def automorphism_group(
     seeds = [as_perm(g, len(table)) for g in known]
     _check_graph(table)
     _check_automorphisms(table, seeds)
-    search = _search(table, time_budget, seeds)
+    search = _AutSearch(table, time_budget, seeds).run()
     _check_automorphisms(table, search.gens[len(seeds) :])
     lower, upper = search.order_bounds()
     return PermGroup._of_perms(search.gens, len(table), upper, lower)
@@ -758,4 +754,4 @@ def canonical_form(
     """Vertex count and canonical key: equal for two graphs exactly when
     isomorphic."""
     table = _limited_table(graph, limit)
-    return (len(table), _search(table, time_budget).best.inv[-1])
+    return (len(table), _AutSearch(table, time_budget).run().best.inv[-1])

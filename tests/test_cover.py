@@ -26,6 +26,7 @@ from dccover.lift import lifting_report
 from dccover.permgrp import (
     PermGroup,
     arc_action,
+    as_perm,
     automorphism_group,
     orbit_labels,
     perm_inverse,
@@ -446,6 +447,29 @@ def test_base_action_refuses_what_it_cannot_certify(case, monkeypatch):
     with pytest.raises(NotCertified) as refused:
         cov.base_action(perms)
     assert str(refused.value) == REFUSALS[case]
+
+
+@pytest.mark.parametrize("kind", ["wrong-length", "repeated-image"])
+def test_base_action_reports_the_first_failure_in_list_order(kind):
+    # A permutation that as_perm refuses and one that breaks a dart each
+    # stop the check where they stand in the list; NotCertified is itself a
+    # ValueError, so the type is compared exactly.
+    cov = build_cover(FpPoly(7, (5, 1)), 3, 0)
+    gens = lifted_generators(lifting_report(divisor_info(cov.g, 3, 0)), cov)
+    swap = np.arange(cov.order)
+    swap[[0, 1]] = [1, 0]
+    bad = np.arange(cov.order - 1) if kind == "wrong-length" else np.append(swap[:-1], 0)
+    with pytest.raises(ValueError) as invalid:
+        as_perm(bad, cov.order)
+    for perms, error, message in (
+        ([bad, swap] + gens, ValueError, str(invalid.value)),
+        (gens + [swap, bad], NotCertified, REFUSALS["swapped-pair"]),
+        (gens + [bad], ValueError, str(invalid.value)),
+    ):
+        with pytest.raises(ValueError) as refused:
+            cov.base_action(perms)
+        assert type(refused.value) is error
+        assert str(refused.value) == message
 
 
 # -- extremal families ----------------------------------------------------------

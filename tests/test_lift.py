@@ -247,11 +247,10 @@ def test_basepoint_independence():
         assert isinstance(lift_by_propagation(tau0, cov, base), Inconsistent)
 
 
-def test_a_batch_lifts_each_automorphism_as_it_lifts_alone():
-    # One propagation serves a batch; an automorphism that conflicts stops
-    # counting at its own first conflict and leaves the others running.
-    # The automorphisms are criterion 4's, drawn from the same seeds.
-    covers = mixed = 0
+def criterion_4_batches():
+    """Each sweep cover of at most 300 vertices, with criterion 4's twenty
+    random automorphisms, drawn from the same seeds, and two lists of base
+    images for them: the defaults, and random points of the right fibers."""
     for p in (3, 5, 7):
         for n in range(3, 9):
             for eps in (0, 1):
@@ -271,17 +270,66 @@ def test_a_batch_lifts_each_automorphism_as_it_lifts_alone():
                             for a in auts
                         ],
                     ]
-                    for base_images in bases:
-                        batch = _propagate(auts, cov, base_images)
-                        alone = [lift_by_propagation(a, cov, b) for a, b in zip(auts, base_images)]
-                        kinds = {isinstance(lift, Inconsistent) for lift in alone}
-                        mixed += kinds == {True, False}
-                        for got, want in zip(batch, alone, strict=True):
-                            if isinstance(want, Inconsistent):
-                                assert got == want
-                            else:
-                                assert np.array_equal(got, want)
-                    covers += 1
+                    yield cov, auts, bases
+
+
+def reference_lift(aut, cov, base):
+    """lift_by_propagation in plain Python: level by level from vertex 0,
+    each level's darts taken by vertex, then track; a vertex first reached
+    at a level takes the image its last dart there forces, and the level's
+    first dart that forces another image on its head is the witness."""
+    ends, size = cov.dart_ends.tolist(), cov.fiber_size
+    tracks = [t % 4 for t in aut.arc_perm()]
+    if base is None:
+        base = aut.vertex_image(0) * size
+    image, frontier = {0: base}, [0]
+    while frontier:
+        forced = [
+            (ends[u][t], ends[image[u]][tracks[4 * (u // size) + t]])
+            for u in frontier
+            for t in range(4)
+        ]
+        fresh = {w: x for w, x in forced if w not in image}
+        image.update(fresh)
+        for w, x in forced:
+            if image[w] != x:
+                return Inconsistent(vertex=w, expected=image[w], got=x)
+        frontier = sorted(fresh)
+    return [image[v] for v in range(cov.order)]
+
+
+def test_propagation_matches_a_plain_reference():
+    # Pins each witness, vertex and both images, not only that one exists.
+    witnesses = 0
+    for cov, auts, bases in criterion_4_batches():
+        for base_images in bases:
+            for aut, base in zip(auts, base_images):
+                got, want = lift_by_propagation(aut, cov, base), reference_lift(aut, cov, base)
+                if isinstance(want, Inconsistent):
+                    assert got == want
+                    witnesses += 1
+                else:
+                    assert got.tolist() == want
+    assert witnesses == 4832  # of the 5,280 lifts
+
+
+def test_a_batch_lifts_each_automorphism_as_it_lifts_alone():
+    # One propagation serves a batch, and its first conflict ends it: a batch
+    # with a conflict returns a row that fails alone, with the witness that
+    # row gives alone.
+    covers = mixed = 0
+    for cov, auts, bases in criterion_4_batches():
+        for base_images in bases:
+            alone = [lift_by_propagation(a, cov, b) for a, b in zip(auts, base_images)]
+            failed = [isinstance(lift, Inconsistent) for lift in alone]
+            mixed += set(failed) == {True, False}
+            lifts = [k for k, fails in enumerate(failed) if not fails]
+            batch = _propagate([auts[k] for k in lifts], cov, [base_images[k] for k in lifts])
+            assert [row.tolist() for row in batch] == [alone[k].tolist() for k in lifts]
+            if any(failed):
+                k, witness = _propagate(auts, cov, base_images)
+                assert failed[k] and witness == alone[k]
+        covers += 1
     assert covers == 132
     assert mixed == 140  # of the 264 batches, both kinds occur in these
 
