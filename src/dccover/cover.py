@@ -19,7 +19,9 @@ import numpy as np
 from .dcycle import DCAut
 from .fpoly import FpPoly, is_odd_prime, require_proper_divisor
 from .lift import LiftReport
-from .permgrp import Darts, as_perm, generator_labels, orbit_labels
+from .permgrp import (
+    Darts, NotAnAutomorphism, arc_action, as_perm, generator_labels, orbit_labels,
+)
 
 
 class NonSimpleCover(ValueError):
@@ -248,13 +250,13 @@ class CoverGraph:
 
     def _refusal(self, perm: np.ndarray) -> str:
         """Why a permutation failed base_action's dart compare: the first dart,
-        row-major, whose image is not a dart, or else the projection."""
-        ends = self.dart_ends
-        is_dart = (perm[ends][:, :, None] == ends[perm][:, None, :]).any(axis=-1)
-        if is_dart.all():
-            return "a lift does not act on the base darts"
-        u, t = divmod(int(np.argmin(is_dart)), 4)
-        return f"a lift is not an automorphism: edge ({u},{ends[u, t]}) is not preserved"
+        row-major, whose image is not a dart (arc_action), or else the
+        projection."""
+        try:
+            arc_action(self)[0](perm)
+        except NotAnAutomorphism as err:
+            return f"a lift is not an automorphism: {err}"
+        return "a lift does not act on the base darts"
 
 
 def build_cover(g: FpPoly, n: int, eps: int) -> CoverGraph:

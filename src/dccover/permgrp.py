@@ -16,16 +16,22 @@ import numpy as np
 
 
 def as_perm(seq, degree: int | None = None) -> np.ndarray:
-    """Validate and convert a permutation to an int32 image array."""
-    arr = np.asarray(seq, dtype=np.int32)
+    """Validate and convert a permutation to an int32 image array.
+
+    The images are checked as given, integers in range, before the cast,
+    which copies nothing when they are int32 already."""
+    arr = np.asarray(seq)
     if arr.ndim != 1:
         raise ValueError("permutation must be one-dimensional")
     n = len(arr)
     if degree is not None and n != degree:
         raise ValueError(f"expected degree {degree}, got {n}")
+    if n and arr.dtype.kind not in "iu":
+        raise ValueError("permutation images out of range")
     seen = np.zeros(n, dtype=bool)
     if n and (arr.min() < 0 or arr.max() >= n):
         raise ValueError("permutation images out of range")
+    arr = arr.astype(np.int32, copy=False)
     seen[arr] = True
     if not seen.all():
         raise ValueError("not a bijection")
@@ -170,7 +176,7 @@ class PermGroup:
         upper_bound: int | None = None,
         lower_bound: int | None = None,
     ):
-        gens = [np.asarray(g, dtype=np.int32) for g in generators]
+        gens = list(generators)
         if degree is None:
             if not gens:
                 raise ValueError("degree required when no generators are given")
@@ -309,6 +315,10 @@ class NotAnAutomorphism(ValueError):
     pass
 
 
+class OracleLimit(RuntimeError):
+    pass
+
+
 class Darts(NamedTuple):
     """A graph given by its darts: reversal[d] is the reverse of dart d, and
     tails[d] the vertex dart d leaves."""
@@ -317,62 +327,83 @@ class Darts(NamedTuple):
     tails: np.ndarray
 
 
-def _table(graph) -> np.ndarray:
-    """One row of neighbours per vertex: a cover's dart_ends, or adjacency
-    lists whose real slots are padded with the sentinel len(adj), coloured
-    -1 in the search.  ValueError when a list names a non-vertex."""
+def _table(graph, limit: int | None = None) -> np.ndarray:
+    """One row of neighbours per vertex, checked: a cover's dart_ends, a
+    table whose rows may be padded with the sentinel len(table), or
+    adjacency lists, padded with it here.  The search colours the sentinel
+    -1.
+
+    Every graph argument is read here, and refused in this order:
+    OracleLimit above limit vertices; ValueError when a neighbour is not a
+    vertex (a list entry that is not an integer in range, a table entry
+    that is not an integer, below 0 or above the sentinel), when the
+    adjacency repeats an arc (two equal real entries in a sorted row), or
+    when it is not symmetric (the head of a real slot does not list its
+    tail: _slot, N*d*d compares).
+    """
     adj = getattr(graph, "dart_ends", graph)
-    if isinstance(adj, np.ndarray):
-        return adj
-    table = np.full((len(adj), max(map(len, adj), default=0)), len(adj))
-    for u, nbrs in enumerate(adj):
-        table[u, : len(nbrs)] = nbrs
-    if table.min(initial=0) < 0 or (table < len(adj)).sum() < sum(map(len, adj)):
+    degree = len(adj)
+    if limit is not None and degree > limit:
+        raise OracleLimit(f"graph has {degree} vertices, above the oracle limit {limit}")
+    # A list names vertices alone; only a table holds the sentinel.
+    listed = not isinstance(adj, np.ndarray)
+    entries = np.array([v for nbrs in adj for v in nbrs]) if listed else adj
+    if entries.size and (
+        entries.dtype.kind not in "iu" or entries.min() < 0 or entries.max() > degree - listed
+    ):
         raise ValueError("a neighbour is not a vertex")
+    table = adj
+    if listed:
+        table = np.full((degree, max(map(len, adj), default=0)), degree)
+        table[np.arange(table.shape[1]) < [[len(nbrs)] for nbrs in adj]] = entries
+    rows = np.sort(table, axis=1)
+    if ((rows[:, 1:] == rows[:, :-1]) & (rows[:, 1:] < degree)).any():
+        raise ValueError("the adjacency repeats an arc")
+    real = table < degree
+    tails = np.repeat(np.arange(degree, dtype=np.int32), real.sum(axis=1))
+    if (_slot(table[table[real]], tails) < 0).any():
+        raise ValueError("the adjacency is not symmetric")
     return table
+
+
+def _slot(rows: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """The slot of each row that holds want, -1 in a row that does not."""
+    slot = np.full(len(rows), -1, dtype=np.int32)
+    for t in range(rows.shape[1]):
+        slot[rows[:, t] == want] = t
+    return slot
 
 
 def arc_action(graph):
     """The map from vertex permutations to arc permutations, and the Darts.
 
-    Arcs are the real slots of the graph's neighbour table (_table) in
-    row-major order, so on a cover arc 4u+t is the dart of track t at u.
-    Images are found by binary search among the sorted (tail, head) keys.
-    The map raises NotAnAutomorphism when a permutation sends an arc to a
-    non-arc; a ValueError here means the adjacency repeats an arc or is not
-    symmetric.
+    The graph is read and checked by _table, whose ValueErrors this raises.
+    Arcs are the real slots of its table in row-major order, so on a cover
+    arc 4u+t is the dart of track t at u.  The image of the arc in slot t
+    of u's row is the arc in the slot of g(u)'s row that holds g(v), v that
+    slot's entry (_slot); the reversal is found the same way.  The map
+    raises NotAnAutomorphism, naming the first arc whose image is not an
+    arc.
     """
-    table = _table(graph)
-    degree = len(table)
-    heads = table.ravel()
-    tails = np.repeat(np.arange(degree, dtype=np.int32), table.shape[1])
-    # Only padded lists have slots to drop; a cover's arcs stay a view.
-    if table.max(initial=-1) >= degree:
-        real = heads < degree
-        heads, tails = heads[real], tails[real]
-    keys = tails.astype(np.int64) * degree + heads
-    order = np.argsort(keys, kind="stable").astype(np.int32)
-    keys = keys[order]
-    if np.any(keys[1:] == keys[:-1]):
-        raise ValueError("the adjacency repeats an arc")
+    return _arcs(_table(graph))
 
-    def find(tail_img, head_img):
-        want = tail_img.astype(np.int64) * degree + head_img
-        at = np.searchsorted(keys, want).clip(max=max(len(keys) - 1, 0))
-        return order[at], np.flatnonzero(keys[at] != want)
+
+def _arcs(table: np.ndarray):
+    """arc_action on a table that _table has passed."""
+    real = table < len(table)
+    arc = np.cumsum(real, dtype=np.int32).reshape(table.shape) - 1
+    tails = np.repeat(np.arange(len(table), dtype=np.int32), real.sum(axis=1))
+    heads = table[real]
 
     def arc_perm(perm) -> np.ndarray:
-        g = as_perm(perm, degree)
-        arcs, missed = find(g[tails], g[heads])
-        if len(missed):
-            k = missed[0]
+        g = as_perm(perm, len(table))
+        slot = _slot(table[g[tails]], g[heads])
+        if (slot < 0).any():
+            k = np.argmin(slot)
             raise NotAnAutomorphism(f"edge ({tails[k]},{heads[k]}) is not preserved")
-        return arcs
+        return arc[g[tails], slot]
 
-    reversal, missed = find(heads, tails)
-    if len(missed):
-        raise ValueError("the adjacency is not symmetric")
-    return arc_perm, Darts(reversal, tails)
+    return arc_perm, Darts(arc[heads, _slot(table[heads], tails)], tails)
 
 
 def transitivity_profile(group, graph) -> dict:
@@ -395,7 +426,7 @@ def transitivity_profile(group, graph) -> dict:
         table = _table(graph)
         if not (table < len(table)).any(axis=1).all():
             raise ValueError("a vertex without neighbours has no dart to count it by")
-        arc_perm, graph = arc_action(table)
+        arc_perm, graph = _arcs(table)
         perms = [arc_perm(g) for g in perms]
     tails = np.asarray(graph.tails)
     vertices = int(tails.max(initial=-1)) + 1
@@ -423,10 +454,6 @@ def transitivity_profile(group, graph) -> dict:
 
 
 # -- full automorphism group via individualization and refinement -----------
-
-
-class OracleLimit(RuntimeError):
-    pass
 
 
 def _row_keys(rows: np.ndarray, base: int) -> list[np.ndarray]:
@@ -670,48 +697,19 @@ class _AutSearch:
 DEFAULT_ORACLE_LIMIT = 256
 
 
-def _limited_table(graph, limit: int) -> np.ndarray:
-    """The neighbour table of a graph (_table); OracleLimit above limit
-    vertices."""
-    table = _table(graph)
-    if len(table) > limit:
-        raise OracleLimit(
-            f"graph has {len(table)} vertices, above the oracle limit {limit}"
-        )
-    return table
-
-
-def _check_graph(table: np.ndarray) -> None:
-    """ValueError, with arc_action's texts, when the adjacency repeats an
-    arc or is not symmetric.  The rows sorted show a repeat as two equal
-    neighbours; then each column of them is looked up in the rows of its
-    neighbours, N*d*d compares in all."""
-    rows = np.sort(table, axis=1)
-    degree = len(table)
-    real = rows < degree
-    if (real[:, 1:] & (rows[:, 1:] == rows[:, :-1])).any():
-        raise ValueError("the adjacency repeats an arc")
-    for t in range(rows.shape[1]):
-        tails = np.flatnonzero(real[:, t])
-        if not (rows[rows[tails, t]] == tails[:, None]).any(axis=1).all():
-            raise ValueError("the adjacency is not symmetric")
-
-
 def _check_automorphisms(table: np.ndarray, perms) -> None:
     """NotAnAutomorphism, naming the edge as arc_action does, when a
     permutation breaks one.
 
-    On a graph that repeats no arc (_check_graph), g preserves the arcs
+    On a graph that repeats no arc (_table), g preserves the arcs
     exactly when the images of each vertex's neighbours, sorted, are the
     sorted neighbours of its image, with the padding sentinel sent to
     itself: one gather and one row sort per permutation.  The arc table is
     built only to name the edge."""
     rows = np.sort(table, axis=1)
-    sentinel = len(table)
     for g in perms:
-        if not np.array_equal(np.sort(np.append(g, sentinel)[table], axis=1), rows[g]):
-            arc_perm, _ = arc_action(table)
-            arc_perm(g)
+        if not np.array_equal(np.sort(np.append(g, len(table))[table], axis=1), rows[g]):
+            arc_action(table)[0](g)
             raise AssertionError("the sorted rows refuse a permutation the arcs keep")
 
 
@@ -726,21 +724,19 @@ def automorphism_group(
     known holds vertex permutations already proven to be automorphisms,
     such as a cover's certified lifts and deck translations.  The search
     starts its generators from them and prunes by their orbits from the
-    first node.  After the limit, and before the search, ValueError refuses
-    an entry of known that is not a permutation of the vertices, then a
-    graph whose adjacency repeats an arc or is not symmetric
-    (_check_graph); NotAnAutomorphism then names an edge that a known
-    permutation breaks.  The generators the search finds are checked the
-    same way.
+    first node.  Before the search, _table reads the graph and refuses it
+    above the limit or when it is not a graph; then ValueError refuses an
+    entry of known that is not a permutation of the vertices, and
+    NotAnAutomorphism names an edge that a known permutation breaks.  The
+    generators the search finds are checked the same way.
 
     The group carries the search's order bounds (_AutSearch.order_bounds),
     so its order() builds no stabilizer chain when they meet.  The upper
     bound comes from the graph alone, so order() is |Aut| whatever known
     holds.
     """
-    table = _limited_table(graph, limit)
+    table = _table(graph, limit)
     seeds = [as_perm(g, len(table)) for g in known]
-    _check_graph(table)
     _check_automorphisms(table, seeds)
     search = _AutSearch(table, time_budget, seeds).run()
     _check_automorphisms(table, search.gens[len(seeds) :])
@@ -752,6 +748,7 @@ def canonical_form(
     graph, limit: int = DEFAULT_ORACLE_LIMIT, time_budget: float | None = None
 ) -> tuple:
     """Vertex count and canonical key: equal for two graphs exactly when
-    isomorphic."""
-    table = _limited_table(graph, limit)
+    isomorphic.  The graph is read by _table, which refuses it above the
+    limit or when it is not a graph, before any refinement."""
+    table = _table(graph, limit)
     return (len(table), _AutSearch(table, time_budget).run().best.inv[-1])

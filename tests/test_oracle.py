@@ -2,7 +2,7 @@
 the plain lexsort refinement it replaced, the relabelled graph at every
 leaf, the per-vertex pruning loop and the arc-table check it replaced, and
 networkx's VF2++ counts of self-isomorphisms on graphs that are not
-covers."""
+covers; and arc_action against a plain list of arcs."""
 
 import random
 
@@ -316,17 +316,21 @@ def test_rook_graph_and_shrikhande_graph_are_told_apart():
     [
         ([[1], []], "the adjacency is not symmetric"),
         ([[1, 1], [0, 0]], "the adjacency repeats an arc"),
+        (np.array([[1], [-1]]), "a neighbour is not a vertex"),
     ],
-    ids=["asymmetric", "repeated-arc"],
+    ids=["asymmetric", "repeated-arc", "negative-in-a-table"],
 )
 def test_automorphism_group_refuses_a_graph_before_the_search(adj, message, monkeypatch):
     # With no known permutation to check, the graph is still refused with
-    # arc_action's text, and no refinement runs.
+    # arc_action's text, and no refinement runs; canonical_form refuses it
+    # alike.
     calls = counted_refines(monkeypatch)
     with pytest.raises(ValueError, match=message):
         arc_action(adj)
     with pytest.raises(ValueError, match=message):
         automorphism_group(adj)
+    with pytest.raises(ValueError, match=message):
+        canonical_form(adj)
     assert calls == []
 
 
@@ -372,6 +376,61 @@ def test_the_sorted_row_check_agrees_with_the_arc_table(graphs):
             want = verdict(by_arc_table, table, g)
             assert verdict(by_sorted_rows, table, g) == want
             kinds.add(want is None)
+    assert kinds == {True, False}
+
+
+def plain_arcs(table):
+    """The number of each (tail, head) pair of a table's real slots, in
+    row-major order."""
+    pairs = [(u, v) for u, row in enumerate(table.tolist()) for v in row if v < len(table)]
+    return {arc: k for k, arc in enumerate(pairs)}
+
+
+def plain_arc_image(arcs, g):
+    """arc_action's map at g on the plain arc numbering: the number of
+    (g(tail), g(head)) for each arc, or the text naming the first arc whose
+    image is not an arc."""
+    for u, v in arcs:
+        if (g[u], g[v]) not in arcs:
+            return f"edge ({u},{v}) is not preserved"
+    return [arcs[g[u], g[v]] for u, v in arcs]
+
+
+@pytest.mark.parametrize("graphs", ["sweep covers", "padded gate graphs"])
+def test_arc_action_matches_the_plain_arc_list(graphs):
+    # On random products of the generators, half of them with two images
+    # swapped, the arc map gives the plain list's images or names its edge,
+    # and the Darts are the list's tails and reversed pairs.
+    if graphs == "sweep covers":
+        tables = [cover.dart_ends for cover in sweep_covers(300)]
+        assert len(tables) == 56
+    else:
+        nx = pytest.importorskip("networkx")
+        tables = [_table(adjacency(graph, nx)) for graph in gate_graphs(nx)]
+        assert len(tables) == 281
+        assert sum((table == len(table)).any() for table in tables) == 180
+    rng = np.random.default_rng(34)
+    kinds = set()
+    for table in tables:
+        arcs = plain_arcs(table)
+        arc_perm, darts = arc_action(table)
+        assert darts.tails.tolist() == [u for u, _ in arcs]
+        assert darts.reversal.tolist() == [arcs[v, u] for u, v in arcs]
+        gens = automorphism_group(table, limit=300).gens
+        for _ in range(8):
+            g = np.arange(len(table), dtype=np.int32)
+            for k in rng.integers(len(gens), size=rng.integers(4) if gens else 0):
+                g = gens[k][g]
+            if rng.integers(2) and len(table) > 1:
+                i, j = rng.choice(len(table), 2, replace=False)
+                g[[i, j]] = g[[j, i]]
+            want = plain_arc_image(arcs, g.tolist())
+            try:
+                got = arc_perm(g).tolist()
+            except NotAnAutomorphism as err:
+                got = str(err)
+            assert got == want
+            kinds.add(isinstance(want, list))
     assert kinds == {True, False}
 
 

@@ -75,6 +75,18 @@ def test_as_perm_rejects_bad_input():
         as_perm([0, 2])
     with pytest.raises(ValueError):
         as_perm([0, 1, 2], degree=4)
+    # Images are checked before the int32 cast, which would wrap 2**32 to 0
+    # and truncate 0.9 and 1.2 to 0 and 1.
+    with pytest.raises(ValueError, match="out of range"):
+        as_perm(np.array([2**32, 1]))
+    with pytest.raises(ValueError, match="out of range"):
+        as_perm([0.9, 1.2])
+    with pytest.raises(ValueError, match="out of range"):
+        PermGroup([np.array([2**32 + 1, 2**32])])
+    # A graph's neighbours are checked alike.
+    with pytest.raises(ValueError, match="a neighbour is not a vertex"):
+        canonical_form([[1.5], [0]])
+    assert as_perm([]).dtype == np.int32 and len(as_perm([])) == 0
 
 
 @given(perm_strategy, st.randoms(use_true_random=False))
