@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .dcycle import DCAut, subgroup_from_case
-from .fpoly import FpPoly, code_modulus
+from .fpoly import FpPoly
 from .reflex import (
     DivisorInfo,
     _require_divisor,
@@ -31,18 +31,18 @@ def _check_rows(g: FpPoly, n: int, eps: int) -> tuple[tuple[int, ...], int]:
     """The n x n check table of the code <g>, each row packed into one int.
 
     Row j holds x^j * h reduced mod x^n - (-1)^eps, so a word y lies in <g>
-    exactly when y times the table vanishes mod p.  Row j + 1 is x times
-    row j: its entries move up one place and the last one wraps round to
-    the first, times (-1)^eps.  For g = 1, h is the modulus itself, which
-    reduces to 0.  Entries lie in 0..p-1 and are packed `width` bits apart,
+    exactly when y times the table vanishes mod p.  h is the cofactor in
+    g's lattice entry, so g is validated and no division runs.  Row j + 1
+    is x times row j: its entries move up one place and the last one wraps
+    round to the first, times (-1)^eps.  For g = 1, h is the modulus
+    itself, which reduces to 0.  Entries lie in 0..p-1 and are packed `width` bits apart,
     enough for a sum of n rows times multipliers below p, so adding
     multiples of packed rows adds their entries.  Callers ask about one
     divisor many times in a row and then move on, so only the last
     divisor's table is kept: a census would otherwise hold the tables of
     every row it emits.
     """
-    _require_divisor(g, n, eps)
-    h = code_modulus(n, eps, g.p) // g
+    h = _require_divisor(g, n, eps).cofactor
     width = (n * (g.p - 1) ** 2).bit_length()
     row = sum(c << width * k for k, c in enumerate(h.coeffs)) if h.degree < n else 0
     lanes = (1 << width * n) - 1
@@ -57,18 +57,26 @@ def _check_rows(g: FpPoly, n: int, eps: int) -> tuple[tuple[int, ...], int]:
 def lifts_by_invariance(aut: DCAut, g: FpPoly, n: int, eps: int) -> bool:
     """Whether the automorphism maps the code <g> of length n into itself.
 
+    Raises ValueError unless aut acts on the n-cycle and g is a monic proper
+    divisor of the modulus.
+    """
+    if aut.n != n:
+        raise ValueError("automorphism and code disagree on the cycle length")
+    return _preserves_code(aut.homology_action(), g, n, eps)
+
+
+def _preserves_code(action: tuple, g: FpPoly, n: int, eps: int) -> bool:
+    """lifts_by_invariance on an automorphism's homology_action().
+
     Row i of the homology block carries a single signed entry at column
     perm(i), so a word w maps to y with y[i] = sign(i) * w[perm(i)]; the
     automorphism lifts exactly when every basis word x^i * g maps back into
     <g>.  The image of x^i * g is nonzero only at the deg g + 1 places that
     perm sends into its support, so only those rows of the check table are
-    summed.  Raises ValueError unless g is a monic proper divisor of the
-    modulus.
+    summed.
     """
-    if aut.n != n:
-        raise ValueError("automorphism and code disagree on the cycle length")
     rows, width = _check_rows(g, n, eps)
-    perm, sign = aut.homology_action()
+    perm, sign = action
     source = [0] * n
     for i in range(n):
         source[perm[i]] = i
@@ -116,39 +124,64 @@ class LiftReport:
     lifted_order: int
 
 
-def lifting_report(info: DivisorInfo) -> LiftReport:
-    """Generators of the maximal lifting edge-transitive subgroup.
+@lru_cache(maxsize=None)
+def _homology_action(aut: DCAut) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """aut.homology_action() as tuples, built once per automorphism: shapes
+    that differ only in eps or reflexibility share their swaps."""
+    perm, sign = aut.homology_action()
+    return tuple(perm), tuple(sign)
+
+
+@lru_cache(maxsize=None)
+def _generator_set(
+    n: int, eps: int, step: int, weakly_reflexible: bool, type1: bool
+) -> tuple[tuple[DCAut, ...], DCAut | None, tuple]:
+    """The predicted generators of one shape of divisor, tau_l, and each
+    generator's homology_action().
 
     The swaps that lift are generated by the step-d periodic swaps, the
     twisted rotation always lifts, and a twisted reflection lifts exactly
     when the core is reflexible: its swap tail is the full swap for a
     type-1 core and the union of the even-position step classes for a
-    strictly type-2 core.  Every generator is re-checked against the
-    check-polynomial criterion before being reported.
+    strictly type-2 core.  These depend on g only through the key, so each
+    shape is built once per process.
     """
-    n, eps, d = info.n, info.eps, info.step
-    b_masks = [DCAut.periodic_swap(n, i, d).swaps for i in range(d)]
+    b_masks = [DCAut.periodic_swap(n, i, step).swaps for i in range(step)]
     tau_l = None
-    if info.weakly_reflexible:
-        if info.core_refl.type1:
+    if weakly_reflexible:
+        if type1:
             tau_l = DCAut.full_swap(n)
         else:
-            if n % (2 * d):
+            if n % (2 * step):
                 raise AssertionError("a strictly type-2 core forces an even quotient")
-            tau_l = DCAut(n, swaps=sum(1 << j for j in range(n) if j % (2 * d) < d))
+            tau_l = DCAut(n, swaps=sum(1 << j for j in range(n) if j % (2 * step) < step))
         gens = subgroup_from_case(n, "iii", b_masks, eps, j_mask=tau_l.swaps)
     else:
         gens = subgroup_from_case(n, "ii", b_masks, eps)
-    for aut in gens:
-        if not lifts_by_invariance(aut, info.g, n, eps):
+    return tuple(gens), tau_l, tuple(_homology_action(aut) for aut in gens)
+
+
+def lifting_report(info: DivisorInfo) -> LiftReport:
+    """Generators of the maximal lifting edge-transitive subgroup.
+
+    The generators come from _generator_set, built once per shape (n, eps,
+    step, weak reflexibility, type-1 core).  Every generator of every
+    report is re-checked against the check-polynomial criterion for info.g
+    before being reported.
+    """
+    n, eps, d = info.n, info.eps, info.step
+    wr = info.weakly_reflexible
+    gens, tau_l, actions = _generator_set(n, eps, d, wr, wr and info.core_refl.type1)
+    for aut, action in zip(gens, actions):
+        if not _preserves_code(action, info.g, n, eps):
             raise AssertionError(f"predicted generator {aut} does not preserve the code")
-    base = (1 << d) * n * (2 if info.weakly_reflexible else 1)
+    base = (1 << d) * n * (2 if wr else 1)
     return LiftReport(
         info=info,
-        generators=tuple(gens),
-        arc_transitive=info.weakly_reflexible,
+        generators=gens,
+        arc_transitive=wr,
         tau_l=tau_l,
-        stabilizer=f"Z2^{d}:Z2" if info.weakly_reflexible else f"Z2^{d}",
+        stabilizer=f"Z2^{d}:Z2" if wr else f"Z2^{d}",
         minimal_cover=is_minimal_cover(info),
         base_order=base,
         lifted_order=base * info.p**info.fiber_dim,

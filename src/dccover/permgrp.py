@@ -341,6 +341,13 @@ def _table(graph, limit: int | None = None) -> np.ndarray:
     when it is not symmetric (the head of a real slot does not list its
     tail: _slot, N*d*d compares).
     """
+    return _table_and_back(graph, limit)[0]
+
+
+def _table_and_back(graph, limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """_table's checked table, and the slot search of its symmetry check:
+    for each real slot in row-major order, the slot of its head's row that
+    holds its tail, which arc_action reads as the reversal."""
     adj = getattr(graph, "dart_ends", graph)
     degree = len(adj)
     if limit is not None and degree > limit:
@@ -361,9 +368,10 @@ def _table(graph, limit: int | None = None) -> np.ndarray:
         raise ValueError("the adjacency repeats an arc")
     real = table < degree
     tails = np.repeat(np.arange(degree, dtype=np.int32), real.sum(axis=1))
-    if (_slot(table[table[real]], tails) < 0).any():
+    back = _slot(table[table[real]], tails)
+    if (back < 0).any():
         raise ValueError("the adjacency is not symmetric")
-    return table
+    return table, back
 
 
 def _slot(rows: np.ndarray, want: np.ndarray) -> np.ndarray:
@@ -381,15 +389,15 @@ def arc_action(graph):
     Arcs are the real slots of its table in row-major order, so on a cover
     arc 4u+t is the dart of track t at u.  The image of the arc in slot t
     of u's row is the arc in the slot of g(u)'s row that holds g(v), v that
-    slot's entry (_slot); the reversal is found the same way.  The map
-    raises NotAnAutomorphism, naming the first arc whose image is not an
-    arc.
+    slot's entry (_slot); the reversal is read from the slot search that
+    checked the graph's symmetry.  The map raises NotAnAutomorphism, naming
+    the first arc whose image is not an arc.
     """
-    return _arcs(_table(graph))
+    return _arcs(*_table_and_back(graph))
 
 
-def _arcs(table: np.ndarray):
-    """arc_action on a table that _table has passed."""
+def _arcs(table: np.ndarray, back: np.ndarray):
+    """arc_action on what _table_and_back returned."""
     real = table < len(table)
     arc = np.cumsum(real, dtype=np.int32).reshape(table.shape) - 1
     tails = np.repeat(np.arange(len(table), dtype=np.int32), real.sum(axis=1))
@@ -403,7 +411,7 @@ def _arcs(table: np.ndarray):
             raise NotAnAutomorphism(f"edge ({tails[k]},{heads[k]}) is not preserved")
         return arc[g[tails], slot]
 
-    return arc_perm, Darts(arc[heads, _slot(table[heads], tails)], tails)
+    return arc_perm, Darts(arc[heads, back], tails)
 
 
 def transitivity_profile(group, graph) -> dict:
@@ -423,10 +431,10 @@ def transitivity_profile(group, graph) -> dict:
     """
     perms = group.gens if isinstance(group, PermGroup) else group
     if not isinstance(graph, Darts):
-        table = _table(graph)
+        table, back = _table_and_back(graph)
         if not (table < len(table)).any(axis=1).all():
             raise ValueError("a vertex without neighbours has no dart to count it by")
-        arc_perm, graph = _arcs(table)
+        arc_perm, graph = _arcs(table, back)
         perms = [arc_perm(g) for g in perms]
     tails = np.asarray(graph.tails)
     vertices = int(tails.max(initial=-1)) + 1

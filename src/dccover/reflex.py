@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .fpoly import (
     FpPoly,
+    code_modulus,
     compress,
     divisor_exponents,
     factor_code_modulus,
@@ -69,13 +71,28 @@ def is_weakly_reflexible(g: FpPoly, n: int) -> bool:
     return reflexibility_of(core) is not None
 
 
+class _Divisor(NamedTuple):
+    """What the lattice knows of one proper divisor g of the modulus."""
+
+    maximal: bool
+    wr_above: bool
+    step: int
+    refl: Reflexibility | None
+    cofactor: FpPoly
+
+
 @lru_cache(maxsize=None)
-def _lattice(n: int, eps: int, p: int) -> dict[FpPoly, tuple[bool, bool]]:
-    """Each proper divisor of the modulus mapped to (maximal, wr_above).
+def _lattice(n: int, eps: int, p: int) -> dict[FpPoly, _Divisor]:
+    """Each proper divisor g of the modulus mapped to its _Divisor entry.
 
     maximal: the exponent vector is one unit short of the modulus's in
     total, so the cofactor is irreducible and no proper divisor lies above.
     wr_above: some weakly reflexible proper divisor lies strictly above.
+    step and refl: the support step of g and the reflexibility of its core
+    (core_polynomial and reflexibility_of, run once per divisor; equal
+    reflexibilities share one object, and the core itself is not kept).
+    cofactor: h = modulus / g, the divisor whose exponent vector is the
+    modulus's minus g's; for g = 1 it is the modulus.
     Divisors are walked in descending degree, so the covers of g (g with one
     exponent raised by one) are done before g, and wr_above(g) holds when a
     cover other than the modulus is weakly reflexible or has wr_above.
@@ -83,6 +100,9 @@ def _lattice(n: int, eps: int, p: int) -> dict[FpPoly, tuple[bool, bool]]:
     exponents = divisor_exponents(n, eps, p)
     full = tuple(m for _, m in factor_code_modulus(n, eps, p))
     top = sum(full) - 1
+    by_exponents = {exps: g for g, exps in exponents.items()}
+    by_exponents[full] = code_modulus(n, eps, p)
+    interned = {}
     wr_or_above = {}
     table = {}
     for g in reversed(exponents):
@@ -93,33 +113,36 @@ def _lattice(n: int, eps: int, p: int) -> dict[FpPoly, tuple[bool, bool]]:
             if e < full[i]
         )
         above = any(wr_or_above[c] for c in covers if c != full)
-        table[g] = (sum(exps) == top, above)
-        wr_or_above[exps] = above or is_weakly_reflexible(g, n)
+        step, core = core_polynomial(g, n)
+        refl = reflexibility_of(core)
+        refl = interned.setdefault(refl, refl)
+        cofactor = by_exponents[tuple(m - e for m, e in zip(full, exps))]
+        table[g] = _Divisor(sum(exps) == top, above, step, refl, cofactor)
+        wr_or_above[exps] = above or refl is not None
     return table
 
 
-def _require_divisor(g: FpPoly, n: int, eps: int) -> tuple[bool, bool]:
-    """The lattice flags of g; ValueError unless g is a monic proper divisor."""
-    flags = _lattice(n, eps, g.p).get(g)
-    if flags is None:
+def _require_divisor(g: FpPoly, n: int, eps: int) -> _Divisor:
+    """The lattice entry of g; ValueError unless g is a monic proper divisor."""
+    entry = _lattice(n, eps, g.p).get(g)
+    if entry is None:
         raise ValueError(
             f"{g.to_text()!r} is not a monic proper divisor of the length-{n} modulus"
         )
-    return flags
+    return entry
 
 
 def is_maximal_divisor(g: FpPoly, n: int, eps: int) -> bool:
     """True when no proper divisor of the modulus lies strictly above g."""
-    maximal, _ = _require_divisor(g, n, eps)
-    return maximal
+    return _require_divisor(g, n, eps).maximal
 
 
 def is_maximal_weakly_reflexible(g: FpPoly, n: int, eps: int) -> bool:
     """True when no weakly reflexible proper divisor lies strictly above g."""
-    _, wr_above = _require_divisor(g, n, eps)
-    if not is_weakly_reflexible(g, n):
+    entry = _require_divisor(g, n, eps)
+    if entry.refl is None:
         raise ValueError(f"{g.to_text()!r} is not weakly reflexible")
-    return not wr_above
+    return not entry.wr_above
 
 
 @dataclass(frozen=True)
@@ -147,22 +170,24 @@ class DivisorInfo:
 
 
 def divisor_info(g: FpPoly, n: int, eps: int) -> DivisorInfo:
-    """Classify a proper divisor; validates divisibility and monicity."""
-    _require_divisor(g, n, eps)
-    d, core = core_polynomial(g, n)
-    if n % d:
+    """Classify a proper divisor; validates divisibility and monicity.
+
+    Everything but the core is read from g's lattice entry; the core is
+    compress(g, step).
+    """
+    entry = _require_divisor(g, n, eps)
+    if n % entry.step:
         raise AssertionError("support step must divide the code length")
-    refl = reflexibility_of(core)
-    wr = refl is not None
+    wr = entry.refl is not None
     return DivisorInfo(
         g=g,
         n=n,
         eps=eps,
         fiber_dim=n - max(g.degree, 0),
-        step=d,
-        core=core,
-        core_refl=refl,
+        step=entry.step,
+        core=compress(g, entry.step),
+        core_refl=entry.refl,
         weakly_reflexible=wr,
-        maximal_divisor=is_maximal_divisor(g, n, eps),
-        maximal_weakly_reflexible=wr and is_maximal_weakly_reflexible(g, n, eps),
+        maximal_divisor=entry.maximal,
+        maximal_weakly_reflexible=wr and not entry.wr_above,
     )

@@ -17,11 +17,18 @@ from dccover.cover import (
     lift_by_propagation,
     lifted_generators,
 )
-from dccover.dcycle import DCAut, in_span, span_basis
+from dccover.dcycle import DCAut, in_span, span_basis, subgroup_from_case
 from dccover.fpoly import FpPoly, code_modulus, modulus_divisors, poly_one
 from dccover.lift import is_minimal_cover, lifting_report, lifts_by_invariance
 from dccover.permgrp import PermGroup, transitivity_profile
-from dccover.reflex import divisor_info
+from dccover.reflex import (
+    DivisorInfo,
+    Reflexibility,
+    _require_divisor,
+    core_polynomial,
+    divisor_info,
+    reflexibility_of,
+)
 
 SEXTIC5 = FpPoly(5, (3, 0, 4, 0, 2, 0, 1))
 QUINTIC3 = FpPoly(3, (1, 1, 1, 2, 0, 1))
@@ -87,10 +94,11 @@ def reference_auts(g, n, eps):
     ]
 
 
-@pytest.mark.parametrize("p", (3, 5, 7))
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
 def test_invariance_matches_the_divisibility_reference(p):
+    # p = 11 and 13 widen the packed check rows, bit_length(n * (p - 1)^2).
     outcomes = set()
-    for n in range(3, 9):
+    for n in range(3, 9 if p < 11 else 7):
         for eps in (0, 1):
             divisors = modulus_divisors(n, eps, p)
             assert poly_one(p) in divisors
@@ -378,6 +386,53 @@ def test_worked_sextic_and_quintic_reports():
     assert not rep.arc_transitive and rep.tau_l is None
     assert rep.stabilizer == "Z2^1"
     assert rep.base_order == 16 and rep.lifted_order == 432
+
+
+def reference_generators(info):
+    """lifting_report's generators and tau_l, built for one row through
+    subgroup_from_case."""
+    n, eps, d = info.n, info.eps, info.step
+    b_masks = [DCAut.periodic_swap(n, i, d).swaps for i in range(d)]
+    if not info.weakly_reflexible:
+        return tuple(subgroup_from_case(n, "ii", b_masks, eps)), None
+    if info.core_refl.type1:
+        tau_l = DCAut.full_swap(n)
+    else:
+        tau_l = DCAut(n, swaps=sum(1 << j for j in range(n) if j % (2 * d) < d))
+    return tuple(subgroup_from_case(n, "iii", b_masks, eps, j_mask=tau_l.swaps)), tau_l
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_cached_classification_matches_a_build_from_scratch(p):
+    # The lattice classifies each divisor once and lifting_report builds
+    # one generator set per shape; both must read as a per-row build.
+    for n in range(3, 9):
+        for eps in (0, 1):
+            modulus = code_modulus(n, eps, p)
+            for g in modulus_divisors(n, eps, p):
+                info = divisor_info(g, n, eps)
+                step, core = core_polynomial(g, n)
+                assert (info.step, info.core) == (step, core)
+                assert info.core_refl == reflexibility_of(core)
+                assert _require_divisor(g, n, eps).cofactor * g == modulus
+                rep = lifting_report(info)
+                assert (rep.generators, rep.tau_l) == reference_generators(info), (
+                    g.to_text(), n, eps
+                )
+
+
+def test_a_strictly_type2_core_with_an_odd_quotient_is_refused_every_time():
+    # No divisor has such a core; a hand-made row shows that the refusal is
+    # raised on every call, not cached away.
+    g = FpPoly(7, (1, 1, 1))
+    info = DivisorInfo(
+        g=g, n=3, eps=0, fiber_dim=1, step=1, core=g,
+        core_refl=Reflexibility(False, True, 1), weakly_reflexible=True,
+        maximal_divisor=True, maximal_weakly_reflexible=True,
+    )
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="even quotient"):
+            lifting_report(info)
 
 
 def test_minimality_of_the_cubic_covers():
