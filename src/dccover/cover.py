@@ -19,9 +19,7 @@ import numpy as np
 from .dcycle import DCAut
 from .fpoly import FpPoly, is_odd_prime, require_proper_divisor
 from .lift import LiftReport
-from .permgrp import (
-    Darts, NotAnAutomorphism, arc_action, as_perm, generator_labels, orbit_labels,
-)
+from .permgrp import Darts, NotAnAutomorphism, arc_action, as_perm, orbit_labels
 
 
 class NonSimpleCover(ValueError):
@@ -240,7 +238,7 @@ class CoverGraph:
             induced.append((first // size * 4 + track).ravel())
             if (induced[-1] == darts).all():
                 kernel.append(rows[0])
-        if generator_labels(kernel, size).any():
+        if orbit_labels(np.array(kernel, dtype=np.int32).reshape(len(kernel), size).T).any():
             raise NotCertified(
                 "the given permutations acting trivially on base darts are not "
                 "transitive on a fiber; adding the deck translations supplies the kernel"

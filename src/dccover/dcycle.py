@@ -146,8 +146,8 @@ class DCAut:
     def arc_perm(self) -> list[int]:
         return [self.dart_image(d) for d in range(4 * self.n)]
 
-    def homology_action(self) -> tuple[list[int], list[int]]:
-        """Signed permutation (perm, sign) of the action on first homology.
+    def homology_action(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Signed permutation (perm, sign), as tuples, of the action on first homology.
 
         The basis is c_0, ..., c_{n-1}, c_* with c_j the difference of the
         two parallel arcs from vertex j and c_* the sum of all arcs; basis
@@ -157,9 +157,9 @@ class DCAut:
         """
         n = self.n
         corner = -1 if self.reflect else 1
-        perm = [((-i if self.reflect else i) + self.shift) % n for i in range(n)]
-        sign = [corner * (-1 if (self.swaps >> i) & 1 else 1) for i in range(n)]
-        return perm + [n], sign + [corner]
+        perm = tuple(((-i if self.reflect else i) + self.shift) % n for i in range(n))
+        sign = tuple(corner * (-1 if (self.swaps >> i) & 1 else 1) for i in range(n))
+        return perm + (n,), sign + (corner,)
 
     # text form
 

@@ -125,14 +125,6 @@ class LiftReport:
 
 
 @lru_cache(maxsize=None)
-def _homology_action(aut: DCAut) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """aut.homology_action() as tuples, built once per automorphism: shapes
-    that differ only in eps or reflexibility share their swaps."""
-    perm, sign = aut.homology_action()
-    return tuple(perm), tuple(sign)
-
-
-@lru_cache(maxsize=None)
 def _generator_set(
     n: int, eps: int, step: int, weakly_reflexible: bool, type1: bool
 ) -> tuple[tuple[DCAut, ...], DCAut | None, tuple]:
@@ -158,7 +150,7 @@ def _generator_set(
         gens = subgroup_from_case(n, "iii", b_masks, eps, j_mask=tau_l.swaps)
     else:
         gens = subgroup_from_case(n, "ii", b_masks, eps)
-    return tuple(gens), tau_l, tuple(_homology_action(aut) for aut in gens)
+    return tuple(gens), tau_l, tuple(aut.homology_action() for aut in gens)
 
 
 def lifting_report(info: DivisorInfo) -> LiftReport:

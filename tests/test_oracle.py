@@ -21,9 +21,17 @@ from dccover.permgrp import (
     arc_action,
     automorphism_group,
     canonical_form,
-    generator_labels,
+    orbit_labels,
+    perm_inverse,
 )
 from dccover.reflex import divisor_info
+
+
+def generator_labels(gens, degree):
+    """Orbit labels with the generators and their inverses as columns: the
+    inverse-closed table that the per-vertex reference loop labels with."""
+    images = np.array([*gens, *map(perm_inverse, gens)], dtype=np.int32)
+    return orbit_labels(images.reshape(len(images), degree).T)
 
 
 def reference_refine(table, col, count):

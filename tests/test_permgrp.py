@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dccover import permgrp
 from dccover.permgrp import (
+    Darts,
     NotAnAutomorphism,
     OracleLimit,
     PermGroup,
@@ -189,10 +190,12 @@ def test_false_lower_bound_raises_once_the_chain_closes():
     assert PermGroup([[1, 2, 0]], upper_bound=6, lower_bound=3).order() == 3
 
 
-def generator_table(gens, degree):
-    """Row x lists the images of x under the generators and their inverses."""
+def generator_table(gens, degree, inverses=True):
+    """Row x lists the images of x under the generators, and under their
+    inverses unless inverses is False."""
     images = [as_perm(g, degree) for g in gens]
-    images += [perm_inverse(g) for g in images]
+    if inverses:
+        images += [perm_inverse(g) for g in images]
     return np.array(images, dtype=np.int32).reshape(len(images), degree).T
 
 
@@ -229,10 +232,10 @@ def closure_orbits(gens, degree):
     return out
 
 
-def check_orbits(gens, degree):
+def check_orbits(gens, degree, inverses=True):
     want = closure_orbits(gens, degree)
-    # The orbit labels of the generators and their inverses as columns.
-    label = orbit_labels(generator_table(gens, degree))
+    # The orbit labels with the generators, and if asked their inverses, as columns.
+    label = orbit_labels(generator_table(gens, degree, inverses))
     assert orbits_from_labels(label) == want
     for orbit in want:
         assert np.flatnonzero(label == label[orbit[-1]]).tolist() == orbit
@@ -248,12 +251,16 @@ def check_orbits(gens, degree):
         lambda n: st.tuples(
             st.lists(st.permutations(list(range(n))), max_size=3), st.just(n)
         )
-    )
+    ),
+    st.booleans(),
 )
-@example(([], 0))
-@example(([], 5))
-def test_orbits_match_plain_closure(case):
-    check_orbits(*case)
+@example(([], 0), True)
+@example(([], 5), False)
+@example(([list(range(1, 40)) + [0]], 40), False)
+def test_orbits_match_plain_closure(case, inverses):
+    # Forward-only tables are what the src callers pass; inverse-closed ones
+    # stand for a table closed under reversal, as dart_ends is.
+    check_orbits(*case, inverses)
 
 
 @pytest.mark.parametrize("numbering", ["in order", "random"])
@@ -381,6 +388,23 @@ def test_profile_needs_a_dart_at_every_vertex():
     # Orbits are counted on darts, which cannot see an isolated vertex.
     with pytest.raises(ValueError, match="no dart"):
         transitivity_profile([[1, 0, 2]], [[1], [0], []])
+
+
+def test_profile_on_darts_needs_a_dart_at_every_vertex():
+    # Vertex 1, below the largest tail, is the tail of no dart.
+    with pytest.raises(ValueError, match="no dart"):
+        transitivity_profile([[2, 3, 0, 1]], Darts([2, 3, 0, 1], [0, 0, 2, 2]))
+
+
+@pytest.mark.parametrize(
+    "gens, reversal",
+    [([[2, 2, 2, 2]], [1, 0, 3, 2]), ([], [0, 0, 3, 2]), ([[1, 0, 3]], [1, 0, 3, 2])],
+    ids=["generator", "reversal", "degree"],
+)
+def test_profile_on_darts_reads_permutations_of_the_darts(gens, reversal):
+    # The repeated image counted 1 arc orbit on 2 vertex orbits.
+    with pytest.raises(ValueError, match="bijection|degree"):
+        transitivity_profile(gens, Darts(reversal, [0, 0, 1, 1]))
 
 
 @pytest.mark.parametrize(
