@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
+from operator import index
 from types import MappingProxyType
 
 PRIME_LIMIT = 10**6
@@ -45,7 +46,10 @@ class FpPoly:
 
     def __post_init__(self):
         _require_odd_prime(self.p)
-        c = [int(a) % self.p for a in self.coeffs]
+        try:
+            c = [index(a) % self.p for a in self.coeffs]
+        except TypeError:
+            raise ValueError("coefficients must be integers") from None
         while c and c[-1] == 0:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))

@@ -18,7 +18,7 @@ from .dcycle import DCAut, subgroup_from_case
 from .fpoly import FpPoly
 from .reflex import (
     DivisorInfo,
-    _require_divisor,
+    divisor_info,
     is_maximal_divisor,
     is_maximal_weakly_reflexible,
 )
@@ -31,18 +31,18 @@ def _check_rows(g: FpPoly, n: int, eps: int) -> tuple[tuple[int, ...], int]:
     """The n x n check table of the code <g>, each row packed into one int.
 
     Row j holds x^j * h reduced mod x^n - (-1)^eps, so a word y lies in <g>
-    exactly when y times the table vanishes mod p.  h is the cofactor in
-    g's lattice entry, so g is validated and no division runs.  Row j + 1
+    exactly when y times the table vanishes mod p.  h is the cofactor that
+    divisor_info(g, n, eps) records, so g is validated and no division
+    runs; for g = 1 it is the modulus itself, which reduces to 0.  Row j + 1
     is x times row j: its entries move up one place and the last one wraps
-    round to the first, times (-1)^eps.  For g = 1, h is the modulus
-    itself, which reduces to 0.  Entries lie in 0..p-1 and are packed `width` bits apart,
-    enough for a sum of n rows times multipliers below p, so adding
-    multiples of packed rows adds their entries.  Callers ask about one
-    divisor many times in a row and then move on, so only the last
-    divisor's table is kept: a census would otherwise hold the tables of
-    every row it emits.
+    round to the first, times (-1)^eps.  Entries lie in 0..p-1 and are
+    packed `width` bits apart, enough for a sum of n rows times multipliers
+    below p, so adding multiples of packed rows adds their entries.
+    Callers ask about one divisor many times in a row and then move on, so
+    only the last divisor's table is kept: a census would otherwise hold
+    the tables of every row it emits.
     """
-    h = _require_divisor(g, n, eps).cofactor
+    h = divisor_info(g, n, eps).cofactor
     width = (n * (g.p - 1) ** 2).bit_length()
     row = sum(c << width * k for k, c in enumerate(h.coeffs)) if h.degree < n else 0
     lanes = (1 << width * n) - 1

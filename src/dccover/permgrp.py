@@ -419,7 +419,9 @@ def transitivity_profile(group, graph) -> dict:
     vertices, and arc_action maps them to darts or raises
     NotAnAutomorphism.  Orbits are counted on darts, so before any
     generator is read ValueError refuses a vertex that no dart leaves (on
-    Darts, any vertex up to the largest tail).
+    Darts, any vertex up to the largest tail); NotAnAutomorphism then
+    refuses a dart permutation that splits the darts of a vertex or does
+    not commute with the reversal.
 
     Arc orbits are the dart orbits, and edge orbits those of the group
     extended by the reversal.  A generator sends the tail of a dart to the
@@ -441,6 +443,11 @@ def transitivity_profile(group, graph) -> dict:
     last = np.empty(vertices, dtype=np.int64)
     last[tails] = np.arange(len(tails))  # a dart that each vertex is the tail of
     on_vertices = [tails[perm[last]] for perm in perms]
+    rev = graph.reversal
+    for perm, image in zip(perms, on_vertices):
+        bad = (tails[perm] != image[tails]) | (perm[rev] != rev[perm])
+        if bad.any():
+            raise NotAnAutomorphism(f"dart {int(bad.argmax())} is not preserved")
 
     def count(gens, degree):
         table = np.array(gens, dtype=np.int32).reshape(len(gens), degree).T

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 from .fpoly import (
     FpPoly,
@@ -71,31 +70,47 @@ def is_weakly_reflexible(g: FpPoly, n: int) -> bool:
     return reflexibility_of(core) is not None
 
 
-class _Divisor(NamedTuple):
-    """What the lattice knows of one proper divisor g of the modulus."""
+@dataclass(frozen=True, slots=True)
+class DivisorInfo:
+    """A proper divisor g of x^n - (-1)^eps with its classification.
 
-    maximal: bool
-    wr_above: bool
+    fiber_dim is n - deg(g): the rank of the banded generator matrix, hence
+    the exponent of the fiber group Z_p^fiber_dim of the cover.  step and
+    core are core_polynomial(g, n), core_refl the core's reflexibility, and
+    cofactor the check polynomial h = (x^n - (-1)^eps) / g, the modulus for
+    g = 1.  The maximal flags: no proper divisor lies strictly above g, and
+    g is weakly reflexible with no weakly reflexible one above it.
+    """
+
+    g: FpPoly
+    n: int
+    eps: int
+    fiber_dim: int
     step: int
-    refl: Reflexibility | None
+    core: FpPoly
+    core_refl: Reflexibility | None
+    weakly_reflexible: bool
+    maximal_divisor: bool
+    maximal_weakly_reflexible: bool
     cofactor: FpPoly
+
+    @property
+    def p(self) -> int:
+        return self.g.p
 
 
 @lru_cache(maxsize=None)
-def _lattice(n: int, eps: int, p: int) -> dict[FpPoly, _Divisor]:
-    """Each proper divisor g of the modulus mapped to its _Divisor entry.
+def _lattice(n: int, eps: int, p: int) -> dict[FpPoly, DivisorInfo]:
+    """Each proper divisor g of the modulus mapped to its DivisorInfo,
+    built once and shared by every lookup.
 
-    maximal: the exponent vector is one unit short of the modulus's in
-    total, so the cofactor is irreducible and no proper divisor lies above.
-    wr_above: some weakly reflexible proper divisor lies strictly above.
-    step and refl: the support step of g and the reflexibility of its core
-    (core_polynomial and reflexibility_of, run once per divisor; equal
-    reflexibilities share one object, and the core itself is not kept).
-    cofactor: h = modulus / g, the divisor whose exponent vector is the
-    modulus's minus g's; for g = 1 it is the modulus.
-    Divisors are walked in descending degree, so the covers of g (g with one
-    exponent raised by one) are done before g, and wr_above(g) holds when a
-    cover other than the modulus is weakly reflexible or has wr_above.
+    g is maximal when its exponent vector is one unit short of the
+    modulus's in total, and its cofactor has the modulus's exponents minus
+    g's.  Divisors are walked in descending degree, so the covers of g (g
+    with one exponent raised by one) are done before g, and a weakly
+    reflexible divisor lies above g when a cover other than the modulus is
+    weakly reflexible or has one above it.  Equal reflexibilities share one
+    object.
     """
     exponents = divisor_exponents(n, eps, p)
     full = tuple(m for _, m in factor_code_modulus(n, eps, p))
@@ -114,80 +129,39 @@ def _lattice(n: int, eps: int, p: int) -> dict[FpPoly, _Divisor]:
         )
         above = any(wr_or_above[c] for c in covers if c != full)
         step, core = core_polynomial(g, n)
+        if n % step:
+            raise AssertionError("support step must divide the code length")
         refl = reflexibility_of(core)
         refl = interned.setdefault(refl, refl)
-        cofactor = by_exponents[tuple(m - e for m, e in zip(full, exps))]
-        table[g] = _Divisor(sum(exps) == top, above, step, refl, cofactor)
-        wr_or_above[exps] = above or refl is not None
+        wr = refl is not None
+        table[g] = DivisorInfo(
+            g=g, n=n, eps=eps, fiber_dim=n - g.degree, step=step, core=core,
+            core_refl=refl, weakly_reflexible=wr, maximal_divisor=sum(exps) == top,
+            maximal_weakly_reflexible=wr and not above,
+            cofactor=by_exponents[tuple(m - e for m, e in zip(full, exps))],
+        )
+        wr_or_above[exps] = above or wr
     return table
 
 
-def _require_divisor(g: FpPoly, n: int, eps: int) -> _Divisor:
-    """The lattice entry of g; ValueError unless g is a monic proper divisor."""
-    entry = _lattice(n, eps, g.p).get(g)
-    if entry is None:
+def divisor_info(g: FpPoly, n: int, eps: int) -> DivisorInfo:
+    """The lattice's record of g; ValueError unless g is a monic proper divisor."""
+    info = _lattice(n, eps, g.p).get(g)
+    if info is None:
         raise ValueError(
             f"{g.to_text()!r} is not a monic proper divisor of the length-{n} modulus"
         )
-    return entry
+    return info
 
 
 def is_maximal_divisor(g: FpPoly, n: int, eps: int) -> bool:
     """True when no proper divisor of the modulus lies strictly above g."""
-    return _require_divisor(g, n, eps).maximal
+    return divisor_info(g, n, eps).maximal_divisor
 
 
 def is_maximal_weakly_reflexible(g: FpPoly, n: int, eps: int) -> bool:
     """True when no weakly reflexible proper divisor lies strictly above g."""
-    entry = _require_divisor(g, n, eps)
-    if entry.refl is None:
+    info = divisor_info(g, n, eps)
+    if not info.weakly_reflexible:
         raise ValueError(f"{g.to_text()!r} is not weakly reflexible")
-    return not entry.wr_above
-
-
-@dataclass(frozen=True)
-class DivisorInfo:
-    """A proper divisor of x^n - (-1)^eps with its derived classification.
-
-    fiber_dim is n - deg(g): the rank of the banded generator matrix, hence
-    the exponent of the fiber group Z_p^fiber_dim of the cover.
-    """
-
-    g: FpPoly
-    n: int
-    eps: int
-    fiber_dim: int
-    step: int
-    core: FpPoly
-    core_refl: Reflexibility | None
-    weakly_reflexible: bool
-    maximal_divisor: bool
-    maximal_weakly_reflexible: bool
-
-    @property
-    def p(self) -> int:
-        return self.g.p
-
-
-def divisor_info(g: FpPoly, n: int, eps: int) -> DivisorInfo:
-    """Classify a proper divisor; validates divisibility and monicity.
-
-    Everything but the core is read from g's lattice entry; the core is
-    compress(g, step).
-    """
-    entry = _require_divisor(g, n, eps)
-    if n % entry.step:
-        raise AssertionError("support step must divide the code length")
-    wr = entry.refl is not None
-    return DivisorInfo(
-        g=g,
-        n=n,
-        eps=eps,
-        fiber_dim=n - max(g.degree, 0),
-        step=entry.step,
-        core=compress(g, entry.step),
-        core_refl=entry.refl,
-        weakly_reflexible=wr,
-        maximal_divisor=entry.maximal,
-        maximal_weakly_reflexible=wr and not entry.wr_above,
-    )
+    return info.maximal_weakly_reflexible

@@ -106,6 +106,20 @@ def test_normalization():
     assert FpPoly(3, (0, 0)).is_zero
 
 
+@pytest.mark.parametrize(
+    "coeffs", [(5.9, 1), ("5", 1), (5, 1.0)], ids=["float", "string", "whole-float"]
+)
+def test_coefficients_must_be_integers(coeffs):
+    # A float or a string was truncated by int(): x + 5.9 read as x + 5.
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        FpPoly(7, coeffs)
+
+
+def test_numpy_integer_coefficients_are_accepted():
+    np = pytest.importorskip("numpy")
+    assert FpPoly(7, (np.int64(12), np.int32(1))) == FpPoly(7, (5, 1))
+
+
 def test_factor_linear_roots_oracle():
     # Over Z_7 the cube roots of unity are 1, 2, 4, so x^3 - 1 splits into
     # x+6, x+5, x+3.  Derive the roots independently by evaluation.

@@ -24,7 +24,6 @@ from dccover.permgrp import PermGroup, transitivity_profile
 from dccover.reflex import (
     DivisorInfo,
     Reflexibility,
-    _require_divisor,
     core_polynomial,
     divisor_info,
     reflexibility_of,
@@ -414,7 +413,7 @@ def test_cached_classification_matches_a_build_from_scratch(p):
                 step, core = core_polynomial(g, n)
                 assert (info.step, info.core) == (step, core)
                 assert info.core_refl == reflexibility_of(core)
-                assert _require_divisor(g, n, eps).cofactor * g == modulus
+                assert info.cofactor * g == modulus
                 rep = lifting_report(info)
                 assert (rep.generators, rep.tau_l) == reference_generators(info), (
                     g.to_text(), n, eps
@@ -429,6 +428,7 @@ def test_a_strictly_type2_core_with_an_odd_quotient_is_refused_every_time():
         g=g, n=3, eps=0, fiber_dim=1, step=1, core=g,
         core_refl=Reflexibility(False, True, 1), weakly_reflexible=True,
         maximal_divisor=True, maximal_weakly_reflexible=True,
+        cofactor=FpPoly(7, (6, 1)),
     )
     for _ in range(2):
         with pytest.raises(AssertionError, match="even quotient"):

@@ -425,6 +425,19 @@ def test_arc_action_refuses_a_graph_it_cannot_number(call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "gen, reversal",
+    [([2, 1, 0, 3], [1, 0, 3, 2]), ([1, 0, 2, 3], [2, 3, 0, 1])],
+    ids=["vertex", "reversal"],
+)
+def test_profile_on_darts_refuses_a_non_automorphism(gen, reversal):
+    # The first generator moves dart 0 to vertex 1 but leaves dart 1 at
+    # vertex 0; the second does not commute with the reversal.  Both
+    # counted 2 vertex, 1 edge and 3 arc orbits.
+    with pytest.raises(NotAnAutomorphism, match="dart 0 is not preserved"):
+        transitivity_profile([gen], Darts(reversal, [0, 0, 1, 1]))
+
+
 def test_profile_rejects_non_automorphism():
     bad = [1, 2, 3, 0]
     path = [[1], [0, 2], [1, 3], [2]]

@@ -267,6 +267,14 @@ def test_divisor_info_worked_examples():
     assert info.core_refl is None
 
 
+def test_divisor_info_returns_the_lattice_record():
+    # One record per divisor: a second lookup builds nothing new.
+    info = divisor_info(FpPoly(7, (1, 1, 1)), 3, 0)
+    assert divisor_info(FpPoly(7, (1, 1, 1)), 3, 0) is info
+    assert info.cofactor == FpPoly(7, (6, 1))
+    assert divisor_info(poly_one(7), 3, 0).cofactor == code_modulus(3, 0, 7)
+
+
 def test_divisor_info_sweep_invariants():
     for n, eps, p in SWEEP:
         for g in modulus_divisors(n, eps, p):
