@@ -27,8 +27,6 @@ from .reflex import (
     Reflexibility,
     core_polynomial,
     divisor_info,
-    is_maximal_divisor,
-    is_maximal_weakly_reflexible,
     is_weakly_reflexible,
     reflexibility_of,
 )
@@ -91,8 +89,6 @@ __all__ = [
     "divisor_info",
     "extremal_cover",
     "factor_code_modulus",
-    "is_maximal_divisor",
-    "is_maximal_weakly_reflexible",
     "is_minimal_cover",
     "is_odd_prime",
     "is_weakly_reflexible",

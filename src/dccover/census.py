@@ -27,26 +27,21 @@ if TYPE_CHECKING:
 
 VERIFY_TIERS = ("none", "lifts", "orbits", "aut")
 
+
 # The verification side loads numpy, so a census that only predicts never
-# imports it.  Its names become module globals on first use, taken from the
-# package's lazy table.  _census_row reads them there at call time, so a
-# caller may rebind one (as a tracer does) and the binding keeps it.
-_VERIFIERS = (
-    "NotCertified", "OracleLimit", "PermGroup", "automorphism_group",
-    "build_cover", "lifted_generators", "transitivity_profile",
-)
-
-
+# imports it.  The names of the package's lazy table become module globals
+# on first use.  _census_row reads them there at call time, so a caller may
+# rebind one (as a tracer does) and the binding keeps it.
 def _bind_verifiers() -> None:
-    """Bind every verification name that is not yet a module global."""
+    """Bind every lazy package name that is not yet a module global."""
     package = sys.modules[__package__]
-    for name in _VERIFIERS:
+    for name in package._LAZY:
         if name not in globals():
             globals()[name] = getattr(package, name)
 
 
 def __getattr__(name: str):
-    if name not in _VERIFIERS:
+    if name not in sys.modules[__package__]._LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _bind_verifiers()
     return globals()[name]

@@ -87,7 +87,8 @@ class CoverGraph:
 
     The constructor refuses a matrix whose cover is not simple: fewer than
     three columns (ValueError), where the layers on both sides of a layer
-    meet, or a zero column (NonSimpleCover).
+    meet, or a zero column (NonSimpleCover).  Vertex ids are int32, so it
+    refuses 2^31 or more vertices (ValueError) before any table is built.
     """
 
     def __init__(
@@ -110,6 +111,8 @@ class CoverGraph:
         self.g = g
         self.fiber_size = self.p**self.r
         self.order = self.n * self.fiber_size
+        if self.order >= 2**31:
+            raise ValueError(f"{self.order} vertices do not fit the int32 vertex ids")
         self.dart_ends = self._build_dart_ends(cols)
 
     def _fiber_add(self, vecs: np.ndarray) -> np.ndarray:

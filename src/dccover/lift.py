@@ -16,12 +16,7 @@ from functools import lru_cache
 
 from .dcycle import DCAut, subgroup_from_case
 from .fpoly import FpPoly
-from .reflex import (
-    DivisorInfo,
-    divisor_info,
-    is_maximal_divisor,
-    is_maximal_weakly_reflexible,
-)
+from .reflex import DivisorInfo, divisor_info
 
 # -- the check-polynomial criterion --------------------------------------------
 
@@ -104,10 +99,10 @@ def is_minimal_cover(info: DivisorInfo) -> bool:
     code of length n / step: maximal among weakly reflexible divisors when
     the cover is arc-transitive, maximal outright otherwise.
     """
-    m = info.n // info.step
+    core = divisor_info(info.core, info.n // info.step, info.eps)
     if info.weakly_reflexible:
-        return is_maximal_weakly_reflexible(info.core, m, info.eps)
-    return is_maximal_divisor(info.core, m, info.eps)
+        return core.maximal_weakly_reflexible
+    return core.maximal_divisor
 
 
 @dataclass(frozen=True)

@@ -417,11 +417,12 @@ def transitivity_profile(group, graph) -> dict:
     permute darts, as they do on a cover's quotient, and pass as_perm, as
     the reversal does; on a CoverGraph or adjacency lists they permute
     vertices, and arc_action maps them to darts or raises
-    NotAnAutomorphism.  Orbits are counted on darts, so before any
-    generator is read ValueError refuses a vertex that no dart leaves (on
-    Darts, any vertex up to the largest tail); NotAnAutomorphism then
-    refuses a dart permutation that splits the darts of a vertex or does
-    not commute with the reversal.
+    NotAnAutomorphism.  Before any generator is read, ValueError refuses a
+    Darts reversal that is not an involution (a loop's dart may be its own
+    reverse) and, as orbits are counted on darts, a vertex that no dart
+    leaves (on Darts, any vertex up to the largest tail).  NotAnAutomorphism
+    then refuses a dart permutation that splits the darts of a vertex or
+    does not commute with the reversal.
 
     Arc orbits are the dart orbits, and edge orbits those of the group
     extended by the reversal.  A generator sends the tail of a dart to the
@@ -433,6 +434,8 @@ def transitivity_profile(group, graph) -> dict:
         vertices = int(tails.max(initial=-1)) + 1
         to_darts = partial(as_perm, degree=len(tails))
         graph = Darts(to_darts(graph.reversal), tails)
+        if (graph.reversal[graph.reversal] != np.arange(len(tails))).any():
+            raise ValueError("the reversal is not an involution")
     else:
         table, back = _table_and_back(graph)
         to_darts, graph = _arcs(table, back)

@@ -152,16 +152,3 @@ def divisor_info(g: FpPoly, n: int, eps: int) -> DivisorInfo:
             f"{g.to_text()!r} is not a monic proper divisor of the length-{n} modulus"
         )
     return info
-
-
-def is_maximal_divisor(g: FpPoly, n: int, eps: int) -> bool:
-    """True when no proper divisor of the modulus lies strictly above g."""
-    return divisor_info(g, n, eps).maximal_divisor
-
-
-def is_maximal_weakly_reflexible(g: FpPoly, n: int, eps: int) -> bool:
-    """True when no weakly reflexible proper divisor lies strictly above g."""
-    info = divisor_info(g, n, eps)
-    if not info.weakly_reflexible:
-        raise ValueError(f"{g.to_text()!r} is not weakly reflexible")
-    return info.maximal_weakly_reflexible

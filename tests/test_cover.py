@@ -112,6 +112,18 @@ def test_fewer_than_three_columns_are_refused(rows):
         CoverGraph(GeneratorMatrix(5, rows))
 
 
+def test_a_cover_too_large_for_int32_ids_is_refused_before_any_table(monkeypatch):
+    # x - 1 over Z_7 at n = 12 has 12 * 7^11 = 23,727,920,916 vertices;
+    # building its tables would take about 190 GB.
+    def allocate(self, vecs):
+        raise AssertionError("a fiber table was built")
+
+    monkeypatch.setattr(CoverGraph, "_fiber_add", allocate)
+    matrix = GeneratorMatrix.from_poly(FpPoly(7, (6, 1)), 12)
+    with pytest.raises(ValueError, match="23727920916 vertices"):
+        CoverGraph(matrix)
+
+
 # -- cover construction --------------------------------------------------------
 
 

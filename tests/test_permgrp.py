@@ -438,6 +438,27 @@ def test_profile_on_darts_refuses_a_non_automorphism(gen, reversal):
         transitivity_profile([gen], Darts(reversal, [0, 0, 1, 1]))
 
 
+@pytest.mark.parametrize(
+    "gens, reversal, tails",
+    [([], [1, 2, 0, 3], [0, 0, 1, 1]), ([[1, 2, 0, 3]], [1, 2, 0, 3], [0, 0, 0, 1])],
+    ids=["no-generator", "preserved-by-the-generator"],
+)
+def test_profile_on_darts_refuses_a_reversal_that_is_not_an_involution(
+    gens, reversal, tails
+):
+    # Each reversal is a 3-cycle on darts 0..2.  The first counted 2 edge
+    # and 4 arc orbits; in the second the generator is that 3-cycle, which
+    # commutes with it, and 2 edge orbits were counted.
+    with pytest.raises(ValueError, match="not an involution"):
+        transitivity_profile(gens, Darts(reversal, tails))
+
+
+def test_profile_on_darts_takes_a_loop_as_its_own_reverse():
+    # Vertex 0 has a loop (dart 0) and an edge to vertex 1 (darts 1 and 2).
+    profile = transitivity_profile([], Darts([0, 2, 1], [0, 0, 1]))
+    assert (profile["edge_orbits"], profile["arc_orbits"]) == (2, 3)
+
+
 def test_profile_rejects_non_automorphism():
     bad = [1, 2, 3, 0]
     path = [[1], [0, 2], [1, 3], [2]]

@@ -16,8 +16,6 @@ from dccover.reflex import (
     DivisorInfo,
     core_polynomial,
     divisor_info,
-    is_maximal_divisor,
-    is_maximal_weakly_reflexible,
     is_weakly_reflexible,
     reflexibility_of,
 )
@@ -148,13 +146,13 @@ def test_reflexible_implies_weakly_reflexible():
 
 
 def test_maximal_divisor_examples():
-    assert is_maximal_divisor(FpPoly(7, (1, 1, 1)), 3, 0)
-    assert not is_maximal_divisor(FpPoly(7, (6, 1)), 3, 0)
-    assert not is_maximal_divisor(poly_one(7), 3, 0)
+    assert divisor_info(FpPoly(7, (1, 1, 1)), 3, 0).maximal_divisor
+    assert not divisor_info(FpPoly(7, (6, 1)), 3, 0).maximal_divisor
+    assert not divisor_info(poly_one(7), 3, 0).maximal_divisor
     with pytest.raises(ValueError):
-        is_maximal_divisor(code_modulus(3, 0, 7), 3, 0)
+        divisor_info(code_modulus(3, 0, 7), 3, 0)
     with pytest.raises(ValueError):
-        is_maximal_divisor(FpPoly(7, (1, 1)), 3, 0)
+        divisor_info(FpPoly(7, (1, 1)), 3, 0)
 
 
 def test_maximal_divisor_against_cofactor_oracle():
@@ -170,15 +168,15 @@ def test_maximal_divisor_against_cofactor_oracle():
                     rest = rest // f
                     e += 1
                 slack += m - e
-            assert is_maximal_divisor(g, n, eps) == (slack == 1)
+            assert divisor_info(g, n, eps).maximal_divisor == (slack == 1)
 
 
 def test_maximal_weakly_reflexible_examples():
-    assert is_maximal_weakly_reflexible(FpPoly(7, (1, 1, 1)), 3, 0)
-    assert is_maximal_weakly_reflexible(FpPoly(7, (6, 1)), 3, 0)
-    assert not is_maximal_weakly_reflexible(poly_one(7), 3, 0)
-    with pytest.raises(ValueError):
-        is_maximal_weakly_reflexible(FpPoly(7, (5, 1)), 3, 0)
+    assert divisor_info(FpPoly(7, (1, 1, 1)), 3, 0).maximal_weakly_reflexible
+    assert divisor_info(FpPoly(7, (6, 1)), 3, 0).maximal_weakly_reflexible
+    assert not divisor_info(poly_one(7), 3, 0).maximal_weakly_reflexible
+    # x + 5 is not weakly reflexible, so it is not maximal among those that are.
+    assert not divisor_info(FpPoly(7, (5, 1)), 3, 0).maximal_weakly_reflexible
 
 
 def divisors_above_by_scan(g, n, eps):
@@ -195,13 +193,12 @@ def divisors_above_by_scan(g, n, eps):
 
 def check_against_scan(g, n, eps):
     above = divisors_above_by_scan(g, n, eps)
-    assert is_maximal_divisor(g, n, eps) == (not above)
-    if is_weakly_reflexible(g, n):
-        wr_above = any(is_weakly_reflexible(q, n) for q in above)
-        assert is_maximal_weakly_reflexible(g, n, eps) == (not wr_above)
-    else:
-        with pytest.raises(ValueError, match="not weakly reflexible"):
-            is_maximal_weakly_reflexible(g, n, eps)
+    info = divisor_info(g, n, eps)
+    assert info.maximal_divisor == (not above)
+    wr_above = any(is_weakly_reflexible(q, n) for q in above)
+    assert info.maximal_weakly_reflexible == (
+        is_weakly_reflexible(g, n) and not wr_above
+    )
 
 
 def test_maximality_matches_a_scan_of_exponent_vectors():
@@ -220,15 +217,16 @@ def test_maximality_matches_a_scan_of_exponent_vectors():
 
 def test_non_divisor_raises_before_non_weakly_reflexible():
     # Over Z_7, x + 2 does not divide x^3 - 1 and x + 3 does not divide
-    # x^3 + 1.  Neither is weakly reflexible: the divisor check speaks first.
+    # x^3 + 1.  Neither is weakly reflexible, and the lookup refuses both as
+    # non-divisors.
     for coeffs, eps in (((2, 1), 0), ((3, 1), 1)):
         g = FpPoly(7, coeffs)
         assert not is_weakly_reflexible(g, 3)
         assert g not in modulus_divisors(3, eps, 7)
         with pytest.raises(ValueError, match="not a monic proper divisor"):
-            is_maximal_weakly_reflexible(g, 3, eps)
+            divisor_info(g, 3, eps)
     with pytest.raises(ValueError, match="not a monic proper divisor"):
-        is_maximal_weakly_reflexible(code_modulus(3, 0, 7), 3, 0)
+        divisor_info(code_modulus(3, 0, 7), 3, 0)
 
 
 def test_divisor_info_table_length3():
