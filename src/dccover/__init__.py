@@ -16,7 +16,6 @@ from .fpoly import (
     compress,
     factor_code_modulus,
     is_odd_prime,
-    modulus_divisors,
     poly_gcd,
     poly_one,
     poly_x,
@@ -28,6 +27,7 @@ from .reflex import (
     core_polynomial,
     divisor_info,
     is_weakly_reflexible,
+    modulus_divisors,
     reflexibility_of,
 )
 from .dcycle import (
@@ -36,7 +36,6 @@ from .dcycle import (
 )
 from .lift import (
     LiftReport,
-    is_minimal_cover,
     lifting_report,
     lifts_by_invariance,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "divisor_info",
     "extremal_cover",
     "factor_code_modulus",
-    "is_minimal_cover",
     "is_odd_prime",
     "is_weakly_reflexible",
     "lift_by_propagation",

@@ -18,9 +18,9 @@ from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
-from .fpoly import FpPoly, is_odd_prime, modulus_divisors, require_proper_divisor
+from .fpoly import FpPoly, is_odd_prime, require_proper_divisor
 from .lift import lifting_report
-from .reflex import divisor_info
+from .reflex import divisor_info, modulus_divisors
 
 if TYPE_CHECKING:
     from .cover import CoverGraph
@@ -105,7 +105,7 @@ def _census_row(task) -> CensusRow:
         symmetry="AT" if rep.arc_transitive else "HT",
         base_order=rep.base_order,
         lifted_order=rep.lifted_order,
-        minimal=rep.minimal_cover,
+        minimal=info.minimal_cover,
     )
     if verify == "none":
         return CensusRow(**row)

@@ -10,9 +10,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd
 from operator import index
-from types import MappingProxyType
 
 PRIME_LIMIT = 10**6
 
@@ -281,43 +280,6 @@ def factor_code_modulus(n: int, eps: int, p: int) -> tuple[tuple[FpPoly, int], .
             factors.append((f.monic(), mult))
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return tuple(factors)
-
-
-@lru_cache(maxsize=None)
-def divisor_exponents(n: int, eps: int, p: int) -> MappingProxyType:
-    """Each monic divisor of x^n - (-1)^eps except the modulus itself, mapped
-    to its exponent vector over factor_code_modulus.
-
-    Includes the constant 1.  Sorted by degree, then coefficient tuples low
-    degree first.  One divisor lies above another exactly when its exponent
-    vector is at least the other's in every slot.
-    """
-    factors = factor_code_modulus(n, eps, p)
-    full = tuple(m for _, m in factors)
-    # Slot by slot, each divisor is its neighbour in the slot times f.
-    table = {poly_one(p): ()}
-    for f, m in factors:
-        grown = {}
-        for d, exps in table.items():
-            for e in range(m + 1):
-                if e:
-                    d = d * f
-                grown[d] = exps + (e,)
-        table = grown
-    if table.pop(code_modulus(n, eps, p), None) != full:
-        raise AssertionError("the factors do not multiply to the modulus")
-    if len(table) != prod(m + 1 for m in full) - 1:
-        raise AssertionError("divisor lattice size mismatch")
-    return MappingProxyType(
-        dict(sorted(table.items(), key=lambda item: (item[0].degree, item[0].coeffs)))
-    )
-
-
-@lru_cache(maxsize=None)
-def modulus_divisors(n: int, eps: int, p: int) -> tuple[FpPoly, ...]:
-    """All monic divisors of x^n - (-1)^eps except the modulus itself, in the
-    order of divisor_exponents."""
-    return tuple(divisor_exponents(n, eps, p))
 
 
 def support_gcd(f: FpPoly, constant_default: int | None = None) -> int:

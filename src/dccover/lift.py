@@ -91,20 +91,6 @@ def _preserves_code(action: tuple, g: FpPoly, n: int, eps: int) -> bool:
 # -- the lifting subgroup of a divisor ------------------------------------------
 
 
-def is_minimal_cover(info: DivisorInfo) -> bool:
-    """Whether no strictly larger divisor gives an intermediate cover of the same kind.
-
-    Covers shrink as divisors grow, so minimal covers come from maximal
-    divisors.  The comparison happens at the core level, in the compressed
-    code of length n / step: maximal among weakly reflexible divisors when
-    the cover is arc-transitive, maximal outright otherwise.
-    """
-    core = divisor_info(info.core, info.n // info.step, info.eps)
-    if info.weakly_reflexible:
-        return core.maximal_weakly_reflexible
-    return core.maximal_divisor
-
-
 @dataclass(frozen=True)
 class LiftReport:
     """The largest edge-transitive subgroup that lifts, with derived data."""
@@ -114,7 +100,6 @@ class LiftReport:
     arc_transitive: bool
     tau_l: DCAut | None
     stabilizer: str
-    minimal_cover: bool
     base_order: int
     lifted_order: int
 
@@ -169,7 +154,6 @@ def lifting_report(info: DivisorInfo) -> LiftReport:
         arc_transitive=wr,
         tau_l=tau_l,
         stabilizer=f"Z2^{d}:Z2" if wr else f"Z2^{d}",
-        minimal_cover=is_minimal_cover(info),
         base_order=base,
         lifted_order=base * info.p**info.fiber_dim,
     )

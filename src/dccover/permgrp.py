@@ -638,13 +638,14 @@ class _AutSearch:
         col, count, inv = node
         inv_path = inv_path + [inv]
         depth = len(inv_path) - 1
-        if on_first and self.first is not None:
-            if depth >= len(self.first.inv) or self.first.inv[depth] != inv:
-                on_first = False
+        # No node lies deeper than a first or best leaf whose invariants its
+        # path matches: its parent would carry that leaf's last invariant,
+        # hence be discrete, a leaf with no child.  A best leaf found while a
+        # node is searched lies below that node, so the match still holds.
+        if on_first and self.first is not None and self.first.inv[depth] != inv:
+            on_first = False
         if best_cmp == "EQ" and self.best is not None:
-            if depth >= len(self.best.inv):
-                best_cmp = "GT"
-            elif inv > self.best.inv[depth]:
+            if inv > self.best.inv[depth]:
                 best_cmp = "GT"
             elif inv < self.best.inv[depth]:
                 best_cmp = "LT"

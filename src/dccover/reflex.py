@@ -15,8 +15,8 @@ from .fpoly import (
     FpPoly,
     code_modulus,
     compress,
-    divisor_exponents,
     factor_code_modulus,
+    poly_one,
     support_gcd,
 )
 
@@ -80,6 +80,11 @@ class DivisorInfo:
     cofactor the check polynomial h = (x^n - (-1)^eps) / g, the modulus for
     g = 1.  The maximal flags: no proper divisor lies strictly above g, and
     g is weakly reflexible with no weakly reflexible one above it.
+    minimal_cover: no larger divisor gives an intermediate cover of the
+    same kind.  Covers shrink as divisors grow, so minimal covers come from
+    maximal divisors, compared at the core level in the code of length
+    n / step: maximal among weakly reflexible divisors when the cover is
+    arc-transitive, maximal outright otherwise.
     """
 
     g: FpPoly
@@ -92,6 +97,7 @@ class DivisorInfo:
     weakly_reflexible: bool
     maximal_divisor: bool
     maximal_weakly_reflexible: bool
+    minimal_cover: bool
     cofactor: FpPoly
 
     @property
@@ -104,24 +110,39 @@ def _lattice(n: int, eps: int, p: int) -> dict[FpPoly, DivisorInfo]:
     """Each proper divisor g of the modulus mapped to its DivisorInfo,
     built once and shared by every lookup.
 
-    g is maximal when its exponent vector is one unit short of the
-    modulus's in total, and its cofactor has the modulus's exponents minus
-    g's.  Divisors are walked in descending degree, so the covers of g (g
-    with one exponent raised by one) are done before g, and a weakly
-    reflexible divisor lies above g when a cover other than the modulus is
-    weakly reflexible or has one above it.  Equal reflexibilities share one
-    object.
+    Divisors are built slot by slot over factor_code_modulus, keyed by
+    exponent vector, and one lies above another when its vector is at least
+    the other's in every slot.  g is maximal when its vector is one unit
+    short of the modulus's in total, and its cofactor has the modulus's
+    exponents minus g's.  Divisors are walked in descending (degree,
+    coefficients), so the covers of g (one exponent raised by one) are done
+    before g, and a weakly reflexible divisor lies above g when a cover
+    other than the modulus is weakly reflexible or has one above it.  A
+    core of step above 1 is read from the lattice at length n / step.  The
+    table is in ascending order, and equal reflexibilities share one object.
     """
-    exponents = divisor_exponents(n, eps, p)
-    full = tuple(m for _, m in factor_code_modulus(n, eps, p))
+    factors = factor_code_modulus(n, eps, p)
+    full = tuple(m for _, m in factors)
+    # Slot by slot, each divisor is its neighbour in the slot times f.
+    by_exponents = {(): poly_one(p)}
+    for f, m in factors:
+        grown = {}
+        for exps, d in by_exponents.items():
+            for e in range(m + 1):
+                if e:
+                    d = d * f
+                grown[exps + (e,)] = d
+        by_exponents = grown
+    if by_exponents[full] != code_modulus(n, eps, p):
+        raise AssertionError("the factors do not multiply to the modulus")
+    if len(set(by_exponents.values())) != len(by_exponents):
+        raise AssertionError("two exponent vectors give one divisor")
     top = sum(full) - 1
-    by_exponents = {exps: g for g, exps in exponents.items()}
-    by_exponents[full] = code_modulus(n, eps, p)
     interned = {}
     wr_or_above = {}
     table = {}
-    for g in reversed(exponents):
-        exps = exponents[g]
+    walk = sorted(by_exponents.items(), key=lambda item: (item[1].degree, item[1].coeffs))
+    for exps, g in reversed(walk[:-1]):  # the modulus, of degree n, sorts last
         covers = (
             exps[:i] + (e + 1,) + exps[i + 1 :]
             for i, e in enumerate(exps)
@@ -134,14 +155,26 @@ def _lattice(n: int, eps: int, p: int) -> dict[FpPoly, DivisorInfo]:
         refl = reflexibility_of(core)
         refl = interned.setdefault(refl, refl)
         wr = refl is not None
+        maximal, maximal_wr = sum(exps) == top, wr and not above
+        if step == 1:
+            minimal = maximal_wr if wr else maximal
+        else:
+            at_core = _lattice(n // step, eps, p)[core]
+            minimal = at_core.maximal_weakly_reflexible if wr else at_core.maximal_divisor
         table[g] = DivisorInfo(
             g=g, n=n, eps=eps, fiber_dim=n - g.degree, step=step, core=core,
-            core_refl=refl, weakly_reflexible=wr, maximal_divisor=sum(exps) == top,
-            maximal_weakly_reflexible=wr and not above,
+            core_refl=refl, weakly_reflexible=wr, maximal_divisor=maximal,
+            maximal_weakly_reflexible=maximal_wr, minimal_cover=minimal,
             cofactor=by_exponents[tuple(m - e for m, e in zip(full, exps))],
         )
         wr_or_above[exps] = above or wr
-    return table
+    return dict(reversed(table.items()))
+
+
+def modulus_divisors(n: int, eps: int, p: int) -> tuple[FpPoly, ...]:
+    """All monic divisors of x^n - (-1)^eps except the modulus itself, 1
+    included, sorted by degree and then coefficients low degree first."""
+    return tuple(_lattice(n, eps, p))
 
 
 def divisor_info(g: FpPoly, n: int, eps: int) -> DivisorInfo:

@@ -17,7 +17,6 @@ from dccover.fpoly import (
     FpPoly,
     code_modulus,
     compress,
-    modulus_divisors,
     poly_one,
     support_gcd,
 )
@@ -30,7 +29,7 @@ from dccover.permgrp import (
     perm_inverse,
     transitivity_profile,
 )
-from dccover.reflex import divisor_info, reflexibility_of
+from dccover.reflex import divisor_info, modulus_divisors, reflexibility_of
 
 from test_lift import lifting_swaps
 

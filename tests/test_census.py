@@ -1,5 +1,6 @@
 """Tests for census rows, serialization and the command line."""
 
+import dataclasses
 import importlib.util
 import inspect
 import io
@@ -352,6 +353,59 @@ def test_cli_exit_code_on_mismatch(monkeypatch, tmp_path):
     )
     assert code == 2
     assert "forced for the test" in out.read_text()
+
+
+def test_flipped_predictions_are_each_reported_as_a_mismatch(monkeypatch, tmp_path):
+    # A report that claims the other symmetry and twice the lifted order
+    # fails three checks against the certified group: its order, its arc
+    # orbits, and (where the doubled order does not divide |Aut|) the
+    # subgroup test.
+    real = census_mod.lifting_report
+
+    def flipped(info):
+        rep = real(info)
+        return dataclasses.replace(
+            rep, arc_transitive=not rep.arc_transitive, lifted_order=2 * rep.lifted_order
+        )
+
+    monkeypatch.setattr(census_mod, "lifting_report", flipped)
+    out = tmp_path / "rows.jsonl"
+    code = main(["census", "--p", "7", "--n", "3", "--eps", "0", "--verify", "aut",
+                 "--format", "jsonl", "--out", str(out)])
+    assert code == 2
+    rows = {tuple(row["g"]): row for row in map(json.loads, out.read_text().splitlines())}
+    assert rows[(3, 1)]["mismatch"] == (
+        "lifted group order 294 != 588; arc orbits 2 != 1; "
+        "lifts give no subgroup: 588 does not divide 294"
+    )
+    assert len(rows) == len(CUBIC7)
+    for g, (_, _, _, sym, lifted, _) in CUBIC7.items():
+        row = rows[g]
+        arcs = 1 if sym == "AT" else 2
+        want = [f"lifted group order {lifted} != {2 * lifted}", f"arc orbits {arcs} != {3 - arcs}"]
+        if row["aut_order"] % (2 * lifted):
+            want.append(
+                f"lifts give no subgroup: {2 * lifted} does not divide {row['aut_order']}"
+            )
+        assert row["mismatch"] == "; ".join(want)
+
+
+def test_a_group_that_is_not_transitive_is_reported_as_a_mismatch(monkeypatch, tmp_path):
+    # The profile of the certified group decides the transitivity check:
+    # one that is not vertex-transitive fails it on every row.
+    monkeypatch.setattr(
+        census_mod,
+        "transitivity_profile",
+        lambda group, base: dict(vertex_transitive=False, edge_transitive=True, arc_orbits=1),
+    )
+    out = tmp_path / "rows.jsonl"
+    code = main(["census", "--p", "7", "--n", "3", "--eps", "0", "--verify", "orbits",
+                 "--format", "jsonl", "--out", str(out)])
+    assert code == 2
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(rows) == len(CUBIC7)
+    for row in rows:
+        assert row["mismatch"].startswith("lifted group is not vertex- and edge-transitive")
 
 
 def test_rows_without_deck_translations_are_not_certified(monkeypatch, tmp_path):

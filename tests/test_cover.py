@@ -21,7 +21,7 @@ from dccover.cover import (
     extremal_cover,
     lifted_generators,
 )
-from dccover.fpoly import FpPoly, modulus_divisors, poly_one
+from dccover.fpoly import FpPoly, poly_one
 from dccover.lift import lifting_report
 from dccover.permgrp import (
     PermGroup,
@@ -32,7 +32,7 @@ from dccover.permgrp import (
     perm_inverse,
     transitivity_profile,
 )
-from dccover.reflex import divisor_info
+from dccover.reflex import divisor_info, modulus_divisors
 
 SEXTIC5 = FpPoly(5, (3, 0, 4, 0, 2, 0, 1))
 QUINTIC3 = FpPoly(3, (1, 1, 1, 2, 0, 1))

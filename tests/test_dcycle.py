@@ -1,5 +1,7 @@
 """Tests for doubled-cycle automorphisms, their algebra and homology action."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -320,16 +322,26 @@ def test_case_ii_and_iii_orders():
 
 
 def test_subgroup_side_conditions_are_enforced():
-    with pytest.raises(ValueError):
-        subgroup_from_case(3, "ii", [], eps=0)
-    with pytest.raises(ValueError):
-        subgroup_from_case(3, "ii", [0b001], eps=0)  # not rotation-invariant
-    with pytest.raises(ValueError):
-        subgroup_from_case(4, "ii", [0b0101], eps=1)  # full swap missing
-    with pytest.raises(ValueError):
-        subgroup_from_case(3, "iii", [0b111], eps=0, j_mask=0b001)
-    with pytest.raises(ValueError):
-        subgroup_from_case(9, "unknown")
+    # Each refusal is told apart by its message, so a case cannot pass on an
+    # earlier check than the one it names.
+    shifts = [mask_shift(0b0001011, 7, k) for k in range(7)]
+    cases = [
+        (lambda: subgroup_from_case(3, "ii", [], eps=0), "must be nontrivial"),
+        (lambda: subgroup_from_case(3, "ii", [0b001], eps=0), "not rotation-invariant"),
+        (lambda: subgroup_from_case(3, "ii", [0b011, 0b110], eps=1), "requires the full swap"),
+        (lambda: subgroup_from_case(3, "ii", [0b111], eps=2), "eps must be 0 or 1"),
+        (lambda: subgroup_from_case(7, "iii", shifts, eps=0, j_mask=0), "not reflection-invariant"),
+        (lambda: subgroup_from_case(4, "iii", [0b1111], eps=0, j_mask=0b0010), "tau_J tau_{-J}"),
+        (lambda: subgroup_from_case(3, "iii", [0b111], eps=0, j_mask=0b001), "tau_J tau_{J+1}"),
+        (lambda: subgroup_from_case(9, "unknown"), "unknown case"),
+        (lambda: DCAut(0), "at least one vertex"),
+        (lambda: DCAut(3, swaps=8), "not a subset of Z_n"),
+        (lambda: DCAut(3, reflect=2), "reflect must be 0 or 1"),
+        (lambda: DCAut(3) * DCAut(4), "mixed cycle lengths"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 def test_subgroup_elements_preserve_vertex_and_edge_orbits():

@@ -12,12 +12,12 @@ from dccover.fpoly import (
     compress,
     factor_code_modulus,
     is_odd_prime,
-    modulus_divisors,
     poly_gcd,
     poly_one,
     poly_x,
     support_gcd,
 )
+from dccover.reflex import modulus_divisors
 
 SWEEP = [
     (n, eps, p)

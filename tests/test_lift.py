@@ -18,14 +18,15 @@ from dccover.cover import (
     lifted_generators,
 )
 from dccover.dcycle import DCAut, in_span, span_basis, subgroup_from_case
-from dccover.fpoly import FpPoly, code_modulus, modulus_divisors, poly_one
-from dccover.lift import is_minimal_cover, lifting_report, lifts_by_invariance
+from dccover.fpoly import FpPoly, code_modulus, poly_one
+from dccover.lift import lifting_report, lifts_by_invariance
 from dccover.permgrp import PermGroup, transitivity_profile
 from dccover.reflex import (
     DivisorInfo,
     Reflexibility,
     core_polynomial,
     divisor_info,
+    modulus_divisors,
     reflexibility_of,
 )
 
@@ -350,7 +351,7 @@ def test_cubic_reports_match_the_verified_group_orders():
         rep = lifting_report(info)
         assert rep.arc_transitive == (sym == "AT")
         assert rep.lifted_order == lifted
-        assert rep.minimal_cover == minimal
+        assert info.minimal_cover == minimal
         cov = build_cover(g, 3, 0)
         G = PermGroup(lifted_generators(rep, cov))
         assert G.order() == lifted
@@ -427,7 +428,7 @@ def test_a_strictly_type2_core_with_an_odd_quotient_is_refused_every_time():
     info = DivisorInfo(
         g=g, n=3, eps=0, fiber_dim=1, step=1, core=g,
         core_refl=Reflexibility(False, True, 1), weakly_reflexible=True,
-        maximal_divisor=True, maximal_weakly_reflexible=True,
+        maximal_divisor=True, maximal_weakly_reflexible=True, minimal_cover=True,
         cofactor=FpPoly(7, (6, 1)),
     )
     for _ in range(2):
@@ -436,7 +437,7 @@ def test_a_strictly_type2_core_with_an_odd_quotient_is_refused_every_time():
 
 
 def test_minimality_of_the_cubic_covers():
-    got = [is_minimal_cover(divisor_info(g, 3, 0)) for g, _, _, _ in CUBIC_ROWS]
+    got = [divisor_info(g, 3, 0).minimal_cover for g, _, _, _ in CUBIC_ROWS]
     assert got == [True, True, True, False, False, True, True]
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from dccover import permgrp
 from dccover.cover import build_cover, lifted_generators
-from dccover.fpoly import FpPoly, modulus_divisors
+from dccover.fpoly import FpPoly
 from dccover.lift import lifting_report
 from dccover.permgrp import (
     NotAnAutomorphism,
@@ -24,7 +24,7 @@ from dccover.permgrp import (
     orbit_labels,
     perm_inverse,
 )
-from dccover.reflex import divisor_info
+from dccover.reflex import divisor_info, modulus_divisors
 
 
 def generator_labels(gens, degree):

@@ -22,9 +22,9 @@ from dccover.permgrp import (
     transitivity_profile,
 )
 from dccover.cover import build_cover, lifted_generators
-from dccover.fpoly import FpPoly, modulus_divisors
+from dccover.fpoly import FpPoly
 from dccover.lift import lifting_report
-from dccover.reflex import divisor_info
+from dccover.reflex import divisor_info, modulus_divisors
 
 
 def brute_closure(gens, degree, cap=20000):

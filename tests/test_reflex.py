@@ -1,5 +1,6 @@
 """Tests for reflexibility classification and lattice maximality."""
 
+import functools
 import itertools
 
 import pytest
@@ -7,8 +8,6 @@ import pytest
 from dccover.fpoly import (
     FpPoly,
     code_modulus,
-    divisor_exponents,
-    modulus_divisors,
     poly_one,
     factor_code_modulus,
 )
@@ -17,6 +16,7 @@ from dccover.reflex import (
     core_polynomial,
     divisor_info,
     is_weakly_reflexible,
+    modulus_divisors,
     reflexibility_of,
 )
 
@@ -179,19 +179,34 @@ def test_maximal_weakly_reflexible_examples():
     assert not divisor_info(FpPoly(7, (5, 1)), 3, 0).maximal_weakly_reflexible
 
 
+@functools.lru_cache(maxsize=None)
+def exponent_vector(q, n, eps):
+    """How often each factor of factor_code_modulus divides q, counted by
+    division, apart from how the lattice builds its divisors."""
+    exps = []
+    for f, _ in factor_code_modulus(n, eps, q.p):
+        e = 0
+        while f.divides(q):
+            q = q // f
+            e += 1
+        exps.append(e)
+    return tuple(exps)
+
+
 def divisors_above_by_scan(g, n, eps):
     """Reference: the proper divisors strictly above g, found by comparing
     g's exponent vector with every divisor's, O(D^2) over a lattice of D."""
-    table = divisor_exponents(n, eps, g.p)
-    low = table[g]
+    low = exponent_vector(g, n, eps)
     return [
         q
-        for q, exps in table.items()
-        if exps != low and all(a >= b for a, b in zip(exps, low))
+        for q in modulus_divisors(n, eps, g.p)
+        if (exps := exponent_vector(q, n, eps)) != low
+        and all(a >= b for a, b in zip(exps, low))
     ]
 
 
 def check_against_scan(g, n, eps):
+    """Check g's maximal flags against the scan; return the one minimal_cover reads."""
     above = divisors_above_by_scan(g, n, eps)
     info = divisor_info(g, n, eps)
     assert info.maximal_divisor == (not above)
@@ -199,19 +214,21 @@ def check_against_scan(g, n, eps):
     assert info.maximal_weakly_reflexible == (
         is_weakly_reflexible(g, n) and not wr_above
     )
+    return info.maximal_weakly_reflexible if info.weakly_reflexible else info.maximal_divisor
 
 
 def test_maximality_matches_a_scan_of_exponent_vectors():
     # Every divisor of the sweep, and every core at length n / step that
-    # is_minimal_cover asks about.
+    # minimal_cover reads; a core is weakly reflexible exactly when g is.
     cores = 0
     for n, eps, p in SWEEP:
         for g in modulus_divisors(n, eps, p):
-            check_against_scan(g, n, eps)
+            minimal = check_against_scan(g, n, eps)
             info = divisor_info(g, n, eps)
             if info.step > 1:
-                check_against_scan(info.core, n // info.step, eps)
+                minimal = check_against_scan(info.core, n // info.step, eps)
                 cores += 1
+            assert info.minimal_cover == minimal
     assert cores > 0
 
 
