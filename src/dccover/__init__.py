@@ -43,8 +43,8 @@ from .lift import (
 # The verification side loads numpy, so its names are imported on first
 # use (PEP 562): predicting a cover's symmetry never starts the engine.
 _LAZY = dict.fromkeys(
-    ("CoverGraph", "GeneratorMatrix", "Inconsistent", "NonSimpleCover", "NotCertified",
-     "build_cover", "extremal_cover", "lift_by_propagation", "lifted_generators"),
+    ("CoverGraph", "Inconsistent", "NotCertified", "build_cover", "extremal_cover",
+     "lift_by_propagation", "lifted_generators"),
     "cover",
 ) | dict.fromkeys(
     ("NotAnAutomorphism", "OracleLimit", "PermGroup", "automorphism_group",
@@ -70,10 +70,8 @@ __all__ = [
     "DCAut",
     "DivisorInfo",
     "FpPoly",
-    "GeneratorMatrix",
     "Inconsistent",
     "LiftReport",
-    "NonSimpleCover",
     "NotAnAutomorphism",
     "NotCertified",
     "OracleLimit",

@@ -252,16 +252,14 @@ def export_graph(cover: CoverGraph, stream, voltages: bool = False) -> None:
     """Edge list of a cover with a header naming its parameters.
 
     The header records p, n, eps, the fiber dimension and the divisor
-    coefficients; with voltages=True the matrix columns follow, one line
-    per base edge pair.  Edges are sorted pairs of vertex ids.
+    coefficients; with voltages=True the voltage matrix columns follow, one
+    line per base edge pair.  Edges are sorted pairs of vertex ids.
     """
-    g = "-" if cover.g is None else ",".join(str(c) for c in cover.g.coeffs)
-    eps = "-" if cover.eps is None else cover.eps
-    stream.write(f"# p={cover.p} n={cover.n} eps={eps} r={cover.r} g={g}\n")
+    g = ",".join(map(str, cover.g.coeffs))
+    stream.write(f"# p={cover.p} n={cover.n} eps={cover.eps} r={cover.r} g={g}\n")
     if voltages:
-        for j in range(cover.n):
-            col = ",".join(str(c) for c in cover.matrix.column(j))
-            stream.write(f"# column {j}: {col}\n")
+        for j, col in enumerate(cover.columns()):
+            stream.write(f"# column {j}: {','.join(map(str, col))}\n")
     for u, v in cover.edges():
         stream.write(f"{u} {v}\n")
 

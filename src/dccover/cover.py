@@ -1,8 +1,8 @@
-"""Tetravalent covers of doubled cycles built from banded code matrices.
+"""Tetravalent covers of doubled cycles built from divisors.
 
-A proper divisor g of x^n - (-1)^eps over Z_p yields an r x n matrix whose
-rows are the shifted coefficient vectors of g, with r = n - deg g.  The cover
-has vertex set Z_p^r x Z_n, and each vertex (v, j) is joined to
+A proper divisor g of x^n - (-1)^eps over Z_p yields an r x n voltage
+matrix whose rows are the shifted coefficient vectors of g, with
+r = n - deg g.  The cover has vertex set Z_p^r x Z_n, and each vertex (v, j) is joined to
 (v + col_j, j+1) and (v - col_j, j+1) where col_j is column j of the matrix.
 Vertices are numbered j * p^r + value(v) with v read as little-endian base-p
 digits.  Doubled-cycle automorphisms lift to the cover by forced propagation
@@ -17,17 +17,9 @@ from functools import cached_property
 import numpy as np
 
 from .dcycle import DCAut
-from .fpoly import FpPoly, is_odd_prime, require_proper_divisor
+from .fpoly import FpPoly, as_ints, is_odd_prime, require_proper_divisor
 from .lift import LiftReport
 from .permgrp import Darts, NotAnAutomorphism, arc_action, as_perm, orbit_labels
-
-
-class NonSimpleCover(ValueError):
-    """A zero matrix column would merge the two parallel arcs of a layer."""
-
-    def __init__(self, column: int):
-        super().__init__(f"column {column} is zero, giving parallel edges")
-        self.column = column
 
 
 class NotCertified(ValueError):
@@ -35,85 +27,46 @@ class NotCertified(ValueError):
     determine the group they generate; the message names the failed check."""
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    """Voltage matrix over Z_p; column j feeds the arcs leaving layer j."""
-
-    p: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not is_odd_prime(self.p):
-            raise ValueError(f"{self.p} is not an odd prime")
-        if not len(self.rows) or not len(self.rows[0]):
-            raise ValueError("the matrix must be nonempty")
-        if len(set(map(len, self.rows))) > 1:
-            raise ValueError("ragged rows")
-        rows = np.asarray(self.rows, dtype=np.int64) % self.p
-        object.__setattr__(self, "rows", tuple(map(tuple, rows.tolist())))
-
-    @classmethod
-    def from_poly(cls, g: FpPoly, n: int) -> "GeneratorMatrix":
-        """Banded matrix whose row i carries the coefficients of x^i * g."""
-        m = g.degree
-        if not 1 <= n - m:
-            raise ValueError("the polynomial leaves no room for rows")
-        r = n - m
-        # Rows of length n + 1 that start with g, read back with length n:
-        # each row then starts one place later than the one before.
-        rows = np.zeros((r, n + 1), dtype=np.int64)
-        rows[:, : m + 1] = g.coeffs
-        return cls(g.p, rows.ravel()[: r * n].reshape(r, n))
-
-    @property
-    def r(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows[0])
-
-    def column(self, j: int) -> tuple[int, ...]:
-        j %= self.n
-        return tuple(row[j] for row in self.rows)
-
-
 class CoverGraph:
-    """Cover of the doubled cycle described by a generator matrix.
+    """Cover of the doubled cycle on n vertices that a proper divisor g of
+    x^n - (-1)^eps defines.
 
     Darts at a vertex are tracked as t in {0, 1, 2, 3}: t=0 adds the column
     of the current layer (the a-arc), t=1 subtracts it, and t=2, t=3 step
     back to the previous layer undoing t=0 and t=1 respectively.
 
-    The constructor refuses a matrix whose cover is not simple: fewer than
-    three columns (ValueError), where the layers on both sides of a layer
-    meet, or a zero column (NonSimpleCover).  Vertex ids are int32, so it
-    refuses 2^31 or more vertices (ValueError) before any table is built.
+    The constructor raises ValueError unless g is a monic proper divisor,
+    for fewer than three layers, where the layers on both sides of a layer
+    meet, and for 2^31 or more vertices, before any table is built, since
+    vertex ids are int32.
+
+    No column is zero, so the two arcs of a layer never coincide.  Column j
+    holds g_j, ..., g_(j-r+1), zero outside 0..deg g.  g_0 is nonzero, as x
+    does not divide x^n - (-1)^eps, and so is the leading coefficient; a
+    zero column therefore needs r = n - deg g zero coefficients
+    g_(i+1), ..., g_(i+r) with i >= 0 and i + r < deg g.  Split
+    g = g_lo + x^(i+r+1) * g_hi with deg g_lo <= i, and let h be the
+    cofactor, of degree r >= 1.  Then g_lo * h, of degree at most i + r, is
+    the part of g * h = x^n - (-1)^eps below degree i + r + 1 <= deg g < n,
+    a nonzero constant; yet g_lo is nonzero, so g_lo * h has degree >= r.
     """
 
-    def __init__(
-        self,
-        matrix: GeneratorMatrix,
-        eps: int | None = None,
-        g: FpPoly | None = None,
-    ):
-        cols = np.array(matrix.rows, dtype=np.int64).T
-        if len(cols) < 3:
+    def __init__(self, g: FpPoly, n: int, eps: int):
+        require_proper_divisor(g, n, eps)
+        if n < 3:
             raise ValueError("the base cycle needs at least three vertices")
-        zero = np.flatnonzero(~cols.any(axis=1))
-        if len(zero):
-            raise NonSimpleCover(int(zero[0]))
-        self.matrix = matrix
-        self.p = matrix.p
-        self.n = matrix.n
-        self.r = matrix.r
-        self.eps = eps
-        self.g = g
+        self.g, self.n, self.eps, self.p = g, n, eps, g.p
+        self.r = n - g.degree
         self.fiber_size = self.p**self.r
-        self.order = self.n * self.fiber_size
+        self.order = n * self.fiber_size
         if self.order >= 2**31:
             raise ValueError(f"{self.order} vertices do not fit the int32 vertex ids")
-        self.dart_ends = self._build_dart_ends(cols)
+        self.dart_ends = self._build_dart_ends(np.array(self.columns(), dtype=np.int64))
+
+    def columns(self) -> list[tuple[int, ...]]:
+        """The voltage matrix by columns: column j, the voltage of the forward
+        step at layer j, holds g's coefficients j, j-1, ..., j-r+1."""
+        return [tuple(self.g.coeff(j - i) for i in range(self.r)) for j in range(self.n)]
 
     def _fiber_add(self, vecs: np.ndarray) -> np.ndarray:
         """Table [k, v] of the fiber value v plus row k of vecs, digitwise mod p."""
@@ -140,11 +93,11 @@ class CoverGraph:
     # -- vertex encoding ------------------------------------------------------
 
     def vertex_id(self, fiber, layer: int) -> int:
-        fiber = tuple(fiber)
-        if len(fiber) != self.r:
-            raise ValueError(f"expected {self.r} fiber digits, got {len(fiber)}")
-        value = sum(int(x) % self.p * self.p**i for i, x in enumerate(fiber))
-        return (layer % self.n) * self.fiber_size + value
+        *digits, layer = as_ints((*fiber, layer), "fiber digits and layer")
+        if len(digits) != self.r:
+            raise ValueError(f"expected {self.r} fiber digits, got {len(digits)}")
+        value = sum(x % self.p * self.p**i for i, x in enumerate(digits))
+        return layer % self.n * self.fiber_size + value
 
     def layer(self, vid: int) -> int:
         return vid // self.fiber_size
@@ -261,9 +214,8 @@ class CoverGraph:
 
 
 def build_cover(g: FpPoly, n: int, eps: int) -> CoverGraph:
-    """Cover of the doubled cycle on n vertices from a proper divisor g."""
-    require_proper_divisor(g, n, eps)
-    cover = CoverGraph(GeneratorMatrix.from_poly(g, n), eps=eps, g=g)
+    """CoverGraph(g, n, eps), checked to be connected."""
+    cover = CoverGraph(g, n, eps)
     if not cover.is_connected():
         raise AssertionError("the cover of a proper divisor is disconnected")
     return cover
@@ -349,6 +301,7 @@ def _propagate(auts, cover: CoverGraph, base_images) -> np.ndarray | tuple[int, 
             raise ValueError("automorphism and cover disagree on the cycle length")
         if base is None:
             base = cover.vertex_id((0,) * cover.r, aut.vertex_image(0))
+        (base,) = as_ints((base,), "base images")
         if cover.layer(base) != aut.vertex_image(0):
             raise ValueError("base image must lie over the image of vertex 0")
         image[k, 0] = base
@@ -382,8 +335,7 @@ def lifted_generators(report: LiftReport, cover: CoverGraph) -> list[np.ndarray]
     these generate every lift of every element of the base group, a group
     of order base_order * p^fiber_dim.
     """
-    info = report.info
-    if cover.matrix != GeneratorMatrix.from_poly(info.g, info.n):
+    if (cover.g, cover.n, cover.eps) != (report.info.g, report.info.n, report.info.eps):
         raise ValueError("cover does not belong to the report's divisor")
     gens = report.generators
     lifted = _propagate(gens, cover, [None] * len(gens))

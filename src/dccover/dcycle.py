@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fpoly import as_ints
+
 
 # -- subsets of Z_n as bitmasks ----------------------------------------------
 
@@ -78,13 +80,15 @@ class DCAut:
     shift: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
+        fields = (self.n, self.swaps, self.reflect, self.shift)
+        n, swaps, reflect, shift = as_ints(fields, "n, swaps, reflect and shift")
+        if n < 1:
             raise ValueError("need at least one vertex")
-        if not 0 <= self.swaps < (1 << self.n):
+        if not 0 <= swaps < (1 << n):
             raise ValueError("swap set is not a subset of Z_n")
-        if self.reflect not in (0, 1):
+        if reflect not in (0, 1):
             raise ValueError("reflect must be 0 or 1")
-        object.__setattr__(self, "shift", self.shift % self.n)
+        object.__setattr__(self, "shift", shift % n)
 
     # constructors
 

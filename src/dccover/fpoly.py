@@ -31,6 +31,14 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
+def as_ints(values, what: str) -> list[int]:
+    """values read with operator.index, so a float is refused, not truncated."""
+    try:
+        return [index(v) for v in values]
+    except TypeError:
+        raise ValueError(f"{what} must be integers") from None
+
+
 def _require_odd_prime(p: int) -> None:
     if not is_odd_prime(p):
         raise ValueError(f"modulus must be an odd prime >= 3, got {p!r}")

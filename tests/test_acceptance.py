@@ -259,7 +259,7 @@ def test_criterion_7_block_families_and_invariants():
             family = extremal_cover(kind, p, r, blocks)
             # Block k of the voltage matrix is +-s_k times the identity.
             theta = min((x for x in range(2, p) if (x * x + 1) % p == 0), default=None)
-            rows, eye = np.array(family.matrix.rows), np.eye(r, dtype=np.int64)
+            rows, eye = np.array(family.columns()).T, np.eye(r, dtype=np.int64)
             for k in range(blocks):
                 block = rows[:, k * r : k * r + r]
                 scale = theta if kind == "pmtheta" and k % 2 == 0 else 1

@@ -289,6 +289,28 @@ def test_cli_export_writes_edges(tmp_path):
     assert len(lines) == 1 + 42  # 21 vertices of valence 4
 
 
+def test_cli_export_writes_voltages(tmp_path):
+    out = tmp_path / "graph.txt"
+    code = main(
+        ["export", "--p", "5", "--n", "8", "--eps", "0", "--g", "3,0,4,0,2,0,1",
+         "--voltages", "--out", str(out)]
+    )
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert lines[:9] == [
+        "# p=5 n=8 eps=0 r=2 g=3,0,4,0,2,0,1",
+        "# column 0: 3,0",
+        "# column 1: 0,3",
+        "# column 2: 4,0",
+        "# column 3: 0,4",
+        "# column 4: 2,0",
+        "# column 5: 0,2",
+        "# column 6: 1,0",
+        "# column 7: 0,1",
+    ]
+    assert len(lines) == 9 + 400  # 200 vertices of valence 4
+
+
 def test_traced_layers_are_looked_up_through_census():
     # perfbench/trace_census.py times a layer by rebinding its name in
     # dccover.census, so a layer the census stops calling by that name would

@@ -1,4 +1,4 @@
-"""Tests for cover graphs built from banded generator matrices."""
+"""Tests for cover graphs built from divisors."""
 
 import itertools
 import os
@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +15,6 @@ from hypothesis import given, settings, strategies as st
 import dccover
 from dccover.cover import (
     CoverGraph,
-    GeneratorMatrix,
-    NonSimpleCover,
     NotCertified,
     build_cover,
     extremal_cover,
@@ -48,68 +47,57 @@ def divisor_strategy():
     return st.sampled_from(cases)
 
 
-# -- generator matrices -------------------------------------------------------
+# -- voltage columns ------------------------------------------------------------
+
+
+def entrywise_columns(g, n):
+    """Columns of the banded matrix whose entry (i, j) is g's coefficient j - i."""
+    rows = [[g.coeff(j - i) for j in range(n)] for i in range(n - g.degree)]
+    return [tuple(col) for col in zip(*rows)]
 
 
 def test_banded_matrix_of_the_sextic():
-    m = GeneratorMatrix.from_poly(SEXTIC5, 8)
-    assert m.rows == ((3, 0, 4, 0, 2, 0, 1, 0), (0, 3, 0, 4, 0, 2, 0, 1))
-    assert m.r == 2 and m.n == 8
-    assert m.column(0) == (3, 0)
-    assert m.column(7) == (0, 1)
+    cov = CoverGraph(SEXTIC5, 8, 0)
+    assert cov.r == 2 and cov.n == 8
+    assert cov.columns() == [(3, 0), (0, 3), (4, 0), (0, 4), (2, 0), (0, 2), (1, 0), (0, 1)]
 
 
 def test_constant_divisor_gives_identity_matrix():
-    m = GeneratorMatrix.from_poly(poly_one(7), 3)
-    assert m.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert CoverGraph(poly_one(7), 3, 0).columns() == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def test_banded_matrix_matches_the_entrywise_reference():
-    for p in (3, 5, 7):
-        for n in range(3, 9):
+    # No column is zero either, as the CoverGraph docstring proves: a zero
+    # column would make the two arcs of a layer coincide.  columns() reads
+    # only g, n and r, and most of these covers are too large to build.
+    count = 0
+    for p in (3, 5, 7, 11, 13):
+        for n in range(3, 13):
             for eps in (0, 1):
                 for g in modulus_divisors(n, eps, p):
-                    want = tuple(
-                        tuple(g.coeff(j - i) for j in range(n))
-                        for i in range(n - g.degree)
-                    )
-                    assert GeneratorMatrix.from_poly(g, n).rows == want
+                    cols = CoverGraph.columns(SimpleNamespace(g=g, n=n, r=n - g.degree))
+                    assert cols == entrywise_columns(g, n)
+                    assert all(any(col) for col in cols), (p, n, eps, g.coeffs)
+                    count += 1
+    assert count == 7532
 
 
-def test_matrix_entries_are_reduced_mod_p():
-    m = GeneratorMatrix(5, [[-1, 7], np.array([5, 12])])
-    assert m.rows == ((4, 2), (0, 2))
-    assert all(type(x) is int for row in m.rows for x in row)
-    assert m == GeneratorMatrix(5, np.array([[4, 2], [0, 2]]))
+def test_the_constructor_takes_only_a_proper_divisor():
+    with pytest.raises(ValueError, match="not a proper divisor"):
+        CoverGraph(SEXTIC5, 6, 0)
+    with pytest.raises(ValueError, match="monic"):
+        CoverGraph(FpPoly(7, (5, 2)), 3, 0)
+    with pytest.raises(ValueError, match="eps must be 0 or 1"):
+        CoverGraph(FpPoly(7, (5, 1)), 3, 2)
 
 
-def test_matrix_validation():
-    with pytest.raises(ValueError):
-        GeneratorMatrix(4, ((1, 0),))
-    with pytest.raises(ValueError, match="nonempty"):
-        GeneratorMatrix(5, ())
-    with pytest.raises(ValueError, match="nonempty"):
-        GeneratorMatrix(5, ((),))
-    with pytest.raises(ValueError, match="ragged rows"):
-        GeneratorMatrix(5, ((1, 2), (1, 2, 3)))
-    with pytest.raises(ValueError):
-        GeneratorMatrix.from_poly(SEXTIC5, 6)
-
-
-def test_zero_column_is_caught():
-    bad = GeneratorMatrix(5, ((1, 0, 2), (2, 0, 1)))
-    with pytest.raises(NonSimpleCover) as err:
-        CoverGraph(bad)
-    assert err.value.column == 1
-    assert CoverGraph(GeneratorMatrix.from_poly(SEXTIC5, 8)).order == 200
-
-
-@pytest.mark.parametrize("rows", [((1, 1),), ((1, 2), (2, 1)), ((3,),)])
+@pytest.mark.parametrize("rows", [((1, 1),), ((1, 0), (0, 1)), ((1,),)])
 def test_fewer_than_three_columns_are_refused(rows):
+    # Each case is the voltage matrix of g, its first row, at n, its width.
     # On two layers the arcs ahead of a layer and those behind it join the
-    # same two layers; ((1, 1),) gave a 2-layer multigraph.
+    # same two layers; ((1, 1),), of 1 + x at n = 2, gave a 2-layer multigraph.
     with pytest.raises(ValueError, match="three vertices"):
-        CoverGraph(GeneratorMatrix(5, rows))
+        CoverGraph(FpPoly(5, rows[0]), len(rows[0]), 0)
 
 
 def test_a_cover_too_large_for_int32_ids_is_refused_before_any_table(monkeypatch):
@@ -119,9 +107,8 @@ def test_a_cover_too_large_for_int32_ids_is_refused_before_any_table(monkeypatch
         raise AssertionError("a fiber table was built")
 
     monkeypatch.setattr(CoverGraph, "_fiber_add", allocate)
-    matrix = GeneratorMatrix.from_poly(FpPoly(7, (6, 1)), 12)
     with pytest.raises(ValueError, match="23727920916 vertices"):
-        CoverGraph(matrix)
+        CoverGraph(FpPoly(7, (6, 1)), 12, 0)
 
 
 # -- cover construction --------------------------------------------------------
@@ -149,8 +136,13 @@ def test_vertex_roundtrip_and_layers():
     ids = [cov.vertex_id(fiber, layer) for layer in range(cov.n) for fiber in fibers]
     assert ids == list(range(cov.order))
     assert [cov.layer(vid) for vid in ids] == [layer for layer in range(cov.n) for _ in fibers]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected 2 fiber digits"):
         cov.vertex_id((1,), 0)
+    # A float digit or layer is refused, not truncated.
+    assert cov.vertex_id((np.int64(2), 0), np.int32(1)) == 27
+    for fiber, layer in (((2.7, 0), 0), ((2, 0), 0.5)):
+        with pytest.raises(ValueError, match="must be integers"):
+            cov.vertex_id(fiber, layer)
 
 
 def test_reverse_tracks_invert_each_other():
@@ -216,28 +208,6 @@ def test_cover_invariants_across_divisors(case):
     for u in range(0, cov.order, max(1, cov.order // 40)):
         for v in adj[u]:
             assert u in adj[v]
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 3).flatmap(
-        lambda r: st.lists(
-            st.lists(st.integers(0, 2), min_size=r, max_size=r).filter(any),
-            min_size=3,
-            max_size=6,
-        )
-    )
-)
-def test_is_connected_matches_plain_closure(columns):
-    cov = CoverGraph(GeneratorMatrix(3, tuple(zip(*columns))))
-    adj = cov.dart_ends.tolist()
-    seen, frontier = {0}, [0]
-    while frontier:
-        for v in adj[frontier.pop()]:
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    assert cov.is_connected() == (len(seen) == cov.order)
 
 
 def test_translations_are_regular_deck_transformations():
@@ -431,9 +401,9 @@ def test_base_action_refuses_what_it_cannot_certify(case, monkeypatch):
     swap = np.arange(cov.order)
     swap[[0, 1]] = [1, 0]
     if case == "disconnected":
-        # The second matrix row is zero, so the second fiber digit never moves.
-        cov = CoverGraph(GeneratorMatrix(5, ((1, 1, 1), (0, 0, 0))))
-        perms = cov.translations()
+        # No divisor gives a disconnected cover, so the cached flag is forced.
+        cov.__dict__["_connected"] = False
+        perms = trans
     elif case == "mixes-fibers":
         # |Aut| is 8 times the lifted order here.
         cov = build_cover(FpPoly(7, (2, 4, 1)), 3, 0)
@@ -500,7 +470,7 @@ def test_block_families_match_the_generic_construction():
         # Block k is +-s_k times the identity: s_k = 1 for pm1, and for
         # pmtheta theta on even k and 1 on odd k.
         theta = min((x for x in range(2, p) if (x * x + 1) % p == 0), default=None)
-        rows, eye = np.array(fam.matrix.rows), np.eye(r, dtype=np.int64)
+        rows, eye = np.array(fam.columns()).T, np.eye(r, dtype=np.int64)
         for k in range(blocks):
             block = rows[:, k * r : k * r + r]
             scale = theta if kind == "pmtheta" and k % 2 == 0 else 1
@@ -514,7 +484,7 @@ def test_block_families_match_the_generic_construction():
 
 def test_pm1_single_row_is_all_ones():
     fam = extremal_cover("pm1", 7, 1, 5)
-    assert fam.matrix.rows == ((1, 1, 1, 1, 1),)
+    assert fam.columns() == [(1,)] * 5
     assert fam.g == FpPoly(7, (1, 1, 1, 1, 1))
 
 

@@ -344,6 +344,15 @@ def test_subgroup_side_conditions_are_enforced():
             call()
 
 
+@pytest.mark.parametrize(
+    "fields", [(3.0,), (3, 1.0), (3, 0, 1.0), (3, 0, 0, 1.5)], ids=["n", "swaps", "reflect", "shift"]
+)
+def test_dcaut_fields_must_be_integers(fields):
+    # A float is refused, not carried into vertex images and dart numbers.
+    with pytest.raises(ValueError, match="must be integers"):
+        DCAut(*fields)
+
+
 def test_subgroup_elements_preserve_vertex_and_edge_orbits():
     # Each shape must act transitively on vertices and on parallel classes.
     for gens in (

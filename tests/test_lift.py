@@ -8,8 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dccover.cover import (
-    CoverGraph,
-    GeneratorMatrix,
     Inconsistent,
     build_cover,
     extremal_cover,
@@ -225,8 +223,12 @@ def test_propagation_lift_is_a_graph_automorphism():
 def test_propagation_base_image_validation():
     cov = build_cover(FpPoly(7, (1, 1, 1)), 3, 0)
     rot = DCAut.rotation(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="over the image of vertex 0"):
         lift_by_propagation(rot, cov, base_image=0)  # lies over layer 0, not 1
+    # 7.5 is not read as vertex 7, which lies over layer 1.
+    assert isinstance(lift_by_propagation(rot, cov, base_image=np.int64(7)), np.ndarray)
+    with pytest.raises(ValueError, match="base images must be integers"):
+        lift_by_propagation(rot, cov, base_image=7.5)
 
 
 @settings(max_examples=80, deadline=None)
@@ -453,15 +455,9 @@ def test_lifted_generators_requires_the_matching_cover():
     other = build_cover(FpPoly(7, (3, 1)), 3, 0)
     with pytest.raises(ValueError):
         lifted_generators(rep, other)
-    # Negating column 0 keeps g and the edge set but swaps tracks 0 and 1
-    # at layer 0, so the cover is not the one the report's lifts act on.
-    g = FpPoly(7, (5, 1))
-    rows = np.array(GeneratorMatrix.from_poly(g, 3).rows)
-    rows[:, 0] *= -1
-    negated = CoverGraph(GeneratorMatrix(7, rows), eps=0, g=g)
-    assert negated.edges() == build_cover(g, 3, 0).edges()
+    # The same divisor at another cycle length defines another cover.
     with pytest.raises(ValueError, match="does not belong"):
-        lifted_generators(rep, negated)
+        lifted_generators(rep, build_cover(FpPoly(7, (5, 1)), 6, 0))
 
 
 @pytest.mark.parametrize("family", [("pmtheta", 5, 1, 4), ("pmtheta", 13, 1, 6)])
