@@ -48,7 +48,7 @@ _LAZY = dict.fromkeys(
     "cover",
 ) | dict.fromkeys(
     ("NotAnAutomorphism", "OracleLimit", "PermGroup", "automorphism_group",
-     "canonical_form", "transitivity_profile"),
+     "transitivity_profile"),
     "permgrp",
 )
 
@@ -79,7 +79,6 @@ __all__ = [
     "Reflexibility",
     "automorphism_group",
     "build_cover",
-    "canonical_form",
     "code_modulus",
     "compress",
     "core_polynomial",

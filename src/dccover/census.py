@@ -113,6 +113,9 @@ def _census_row(task) -> CensusRow:
         row["skipped"] = f"order {row['order']} above the size budget {max_order}"
         return CensusRow(**row)
     _bind_verifiers()
+    if refusal := CoverGraph.vertex_id_refusal(row["order"]):
+        row["skipped"] = refusal
+        return CensusRow(**row)
     cover = build_cover(g, n, eps)
     gens = lifted_generators(rep, cover)
     mismatches = []
@@ -190,9 +193,10 @@ def census_rows(
 
     Rows are ordered by (n, p, eps) and then by divisor degree and
     coefficients, and a value given twice gives its rows once.  Rows whose
-    cover is larger than max_order skip the permutation checks but still
-    carry the predicted values.  The aut tier searches covers of up to
-    aut_limit vertices, max_order by default.
+    cover is larger than max_order, or than int32 vertex ids can number,
+    skip the permutation checks but still carry the predicted values.  The
+    aut tier searches covers of up to aut_limit vertices, max_order by
+    default.
     """
     if verify not in VERIFY_TIERS:
         raise ValueError(f"verify must be one of {VERIFY_TIERS}")
@@ -409,8 +413,10 @@ def _run(parser, args) -> int:
     order = args.n * args.p ** (args.n - g.degree)
     if order > args.max_order:
         parser.error(f"the cover has {order} vertices, above --max-order {args.max_order}")
+    _bind_verifiers()
+    if refusal := CoverGraph.vertex_id_refusal(order):
+        parser.error(refusal)
     with _open_out(parser, args.out) as stream:
-        _bind_verifiers()
         export_graph(build_cover(g, args.n, args.eps), stream, voltages=args.voltages)
     return 0
 

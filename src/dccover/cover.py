@@ -59,9 +59,14 @@ class CoverGraph:
         self.r = n - g.degree
         self.fiber_size = self.p**self.r
         self.order = n * self.fiber_size
-        if self.order >= 2**31:
-            raise ValueError(f"{self.order} vertices do not fit the int32 vertex ids")
+        if refusal := self.vertex_id_refusal(self.order):
+            raise ValueError(refusal)
         self.dart_ends = self._build_dart_ends(np.array(self.columns(), dtype=np.int64))
+
+    @staticmethod
+    def vertex_id_refusal(order: int) -> str | None:
+        """Why int32 vertex ids cannot number order vertices, or None."""
+        return f"{order} vertices do not fit the int32 vertex ids" if order >= 2**31 else None
 
     def columns(self) -> list[tuple[int, ...]]:
         """The voltage matrix by columns: column j, the voltage of the forward

@@ -540,10 +540,8 @@ def _refine(table: np.ndarray, col: np.ndarray, count: int):
 
 
 class _Leaf(NamedTuple):
-    """A leaf of the search: the node invariants along its path, its
-    discrete colouring and the vertices individualised."""
+    """A leaf of the search: its discrete colouring and the vertices individualised."""
 
-    inv: list[bytes]
     lab: np.ndarray
     path: list[int]
 
@@ -559,14 +557,14 @@ class _AutSearch:
     2014).  A leaf discrete before refining keeps its individualised
     colours, which order the vertices as the labels do.
 
-    A leaf whose last invariant matches the first leaf's, or whose
-    invariants match the best leaf's, gives an automorphism.  It maps the
-    searched child subtree of their deepest common ancestor that holds the
-    earlier leaf onto the one that holds this leaf, so the search jumps
-    back to that ancestor.
+    The automorphisms from leaves equivalent to the first generate Aut
+    (McKay, 1981).  Refinement is equivariant, so such leaves match the
+    first path's node invariants at every depth, and any node off them is
+    pruned.  Each later leaf maps the first's child subtree of their deepest
+    common ancestor onto its own, so the search jumps back to that ancestor.
 
     Until the first leaf, every node lies on its path, and the search notes
-    the size of each such node's target cell for order_bounds.
+    each node's invariant, and its target cell size for order_bounds.
 
     gens holds one generator per row, so that one compare picks those that
     fix a prefix, and their transpose is a table whose orbit_labels are
@@ -584,13 +582,13 @@ class _AutSearch:
         self.table = table
         self.deadline = None if time_budget is None else time.monotonic() + time_budget
         self.gens = np.array(known, dtype=np.int32).reshape(len(known), len(table))
+        self.first_invs: list[bytes] = []
         self.first_cells: list[int] = []
         self.first: _Leaf | None = None
-        self.best: _Leaf | None = None
 
     def run(self) -> "_AutSearch":
         start = np.zeros(len(self.table), dtype=np.int64)
-        self._dfs(_refine(self.table, start, 1), [], [], True, "EQ")
+        self._dfs(_refine(self.table, start, 1), [])
         return self
 
     def order_bounds(self) -> tuple[int, int]:
@@ -632,27 +630,19 @@ class _AutSearch:
         fixed = self.gens if keep.all() else self.gens[keep]
         return np.sort(np.unique(orbit_labels(fixed.T)[cell], return_index=True)[1])
 
-    def _dfs(self, node, prefix, inv_path, on_first, best_cmp) -> int | None:
+    def _dfs(self, node, prefix) -> int | None:
         """Search below the node; the depth to jump back to, or None."""
         self._tick()
         col, count, inv = node
-        inv_path = inv_path + [inv]
-        depth = len(inv_path) - 1
-        # No node lies deeper than a first or best leaf whose invariants its
-        # path matches: its parent would carry that leaf's last invariant,
-        # hence be discrete, a leaf with no child.  A best leaf found while a
-        # node is searched lies below that node, so the match still holds.
-        if on_first and self.first is not None and self.first.inv[depth] != inv:
-            on_first = False
-        if best_cmp == "EQ" and self.best is not None:
-            if inv > self.best.inv[depth]:
-                best_cmp = "GT"
-            elif inv < self.best.inv[depth]:
-                best_cmp = "LT"
-        if self.best is not None and best_cmp == "LT" and not on_first:
+        depth = len(prefix)
+        # first_invs[depth] exists: the first leaf's invariant has a row per
+        # vertex, so only a leaf matches it, and no match lies deeper.
+        if self.first is None:
+            self.first_invs.append(inv)
+        elif self.first_invs[depth] != inv:
             return None
         if count == len(col):
-            return self._leaf(col, prefix, inv_path)
+            return self._leaf(col, prefix)
         sizes = np.bincount(col)
         target = np.argmin(np.where(sizes > 1, sizes, len(col) + 1))
         if self.first is None:
@@ -669,7 +659,7 @@ class _AutSearch:
             child = 2 * col
             child[v] -= 1
             node = _refine(self.table, child, count + 1)
-            jump = self._dfs(node, prefix + [v], inv_path, on_first, best_cmp)
+            jump = self._dfs(node, prefix + [v])
             if jump is not None and jump < depth:
                 return jump
             if at + 1 == len(cell):
@@ -682,20 +672,13 @@ class _AutSearch:
                 return None
             at = int(children[k])
 
-    def _leaf(self, lab, path, inv_path) -> int | None:
-        """Take in a leaf; when it matches the first or the best leaf, the
-        depth of their deepest common ancestor."""
-        leaf = _Leaf(inv_path, lab, path)
+    def _leaf(self, lab, path) -> int | None:
+        """Keep the first leaf; record each later one against it (_record)."""
+        leaf = _Leaf(lab, path)
         if self.first is None:
-            self.first = self.best = leaf
+            self.first = leaf
             return None
-        if inv_path[-1] == self.first.inv[-1]:
-            return self._record(self.first, leaf)
-        if inv_path > self.best.inv:
-            self.best = leaf
-        elif inv_path == self.best.inv:
-            return self._record(self.best, leaf)
-        return None
+        return self._record(self.first, leaf)
 
     def _record(self, a: _Leaf, b: _Leaf) -> int:
         """Keep the automorphism sending each vertex of leaf a's labelling
@@ -759,13 +742,3 @@ def automorphism_group(
     _check_automorphisms(table, search.gens[len(seeds) :])
     lower, upper = search.order_bounds()
     return PermGroup._of_perms(search.gens, len(table), upper, lower)
-
-
-def canonical_form(
-    graph, limit: int = DEFAULT_ORACLE_LIMIT, time_budget: float | None = None
-) -> tuple:
-    """Vertex count and canonical key: equal for two graphs exactly when
-    isomorphic.  The graph is read by _table, which refuses it above the
-    limit or when it is not a graph, before any refinement."""
-    table = _table(graph, limit)
-    return (len(table), _AutSearch(table, time_budget).run().best.inv[-1])

@@ -1,8 +1,9 @@
 """End-to-end acceptance checks, one test per criterion, each with a time budget.
 
-Every test recomputes its expected values through the permutation engine
-rather than trusting the polynomial classification, prints a single summary
-line, and fails on any disagreement or on a blown budget.
+Every test recomputes its expected values through the permutation engine,
+or networkx for isomorphism, rather than trusting the polynomial
+classification, prints a single summary line, and fails on any disagreement
+or on a blown budget.
 """
 
 import random
@@ -25,7 +26,6 @@ from dccover.permgrp import (
     PermGroup,
     as_perm,
     automorphism_group,
-    canonical_form,
     perm_inverse,
     transitivity_profile,
 )
@@ -230,22 +230,27 @@ def test_criterion_5_polynomial_law_suite():
 
 
 def test_criterion_6_isomorphism_sanity():
+    # Isomorphism is decided by networkx's VF2++, not by the search that
+    # the other criteria check.
+    import networkx as nx
+
     t0 = time.monotonic()
-    cov5 = build_cover(FpPoly(7, (5, 1)), 3, 0)
-    cov3 = build_cover(FpPoly(7, (3, 1)), 3, 0)
-    cov6 = build_cover(FpPoly(7, (6, 1)), 3, 0)
-    assert canonical_form(cov5, limit=200) == canonical_form(cov3, limit=200)
-    assert canonical_form(cov5, limit=200) != canonical_form(cov6, limit=200)
+    cov5, cov3, cov6 = (
+        nx.Graph(build_cover(FpPoly(7, (a, 1)), 3, 0).edges()) for a in (5, 3, 6)
+    )
+    assert nx.vf2pp_is_isomorphic(cov5, cov3)
+    # Their Aut orders are 294 and 588.
+    assert not nx.vf2pp_is_isomorphic(cov5, cov6)
     for n, p in [(3, 3), (3, 5), (5, 3)]:
-        cover = build_cover(FpPoly(p, (1,) * n), n, 0)
-        tensor = [[] for _ in range(p * n)]
-        for v in range(p):
-            for j in range(n):
-                for dv in (1, -1):
-                    for dj in (1, -1):
-                        tensor[v * n + j].append(((v + dv) % p) * n + (j + dj) % n)
-        want = canonical_form(tensor, limit=64)
-        assert canonical_form(cover, limit=64) == want, (n, p)
+        cover = nx.Graph(build_cover(FpPoly(p, (1,) * n), n, 0).edges())
+        tensor = nx.Graph(
+            (v * n + j, ((v + dv) % p) * n + (j + dj) % n)
+            for v in range(p)
+            for j in range(n)
+            for dv in (1, -1)
+            for dj in (1, -1)
+        )
+        assert nx.vf2pp_is_isomorphic(cover, tensor), (n, p)
     _finish(6, "isomorphism sanity and tensor identities", t0)
 
 

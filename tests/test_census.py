@@ -74,6 +74,19 @@ def test_size_budget_skips_but_keeps_rows():
     assert all(r.skipped and r.verified_order is None for r in big)
 
 
+def test_a_row_too_large_for_int32_ids_is_skipped_before_its_cover(monkeypatch):
+    # 18 * 3^18 vertices lie within the size budget, but beyond the int32
+    # vertex ids: the row is skipped, and the rest of a census kept.
+    def build(*args):
+        raise AssertionError("a cover was built")
+
+    monkeypatch.setattr(census_mod, "build_cover", build)
+    row = census_mod._census_row((3, 18, 0, FpPoly(3, (1,)), "lifts", 10**12, None, None))
+    assert row.order == 6973568802
+    assert row.skipped == "6973568802 vertices do not fit the int32 vertex ids"
+    assert row.verified_order is None and row.mismatch is None
+
+
 def test_aut_tier_orders_on_the_small_cubic_covers():
     rows = census_rows([7], [3], (0,), verify="aut", max_order=150, aut_limit=150)
     by_g = {r.g: r for r in rows}
@@ -192,6 +205,10 @@ def test_cli_reports_bad_sweeps_without_traceback(
         (["--p", "3", "--n", "8", "--g", "1"], "52488 vertices, above --max-order 2500"),
         (["--p", "3", "--n", "3", "--g", ""], "--g: expected integers such as 5,1, got ''"),
         (["--p", "3", "--n", "3", "--g", "1,,1"], "--g: expected integers such as 5,1, got '1,,1'"),
+        (
+            ["--p", "7", "--n", "12", "--g", "1", "--max-order", str(10**12)],
+            "166095446412 vertices do not fit the int32 vertex ids",
+        ),
     ],
 )
 def test_cli_export_reports_bad_input_without_traceback(
@@ -529,6 +546,7 @@ def test_cli_export_refusal_keeps_the_out_file(tmp_path):
         ["--p", "7", "--n", "3", "--g", "1,1"],  # not a divisor
         ["--p", "3", "--n", "8", "--g", "1"],  # above --max-order
         ["--p", "7", "--n", "2", "--g", "1"],  # no cover on two vertices
+        ["--p", "7", "--n", "12", "--g", "1", "--max-order", str(10**12)],  # int32 ids
     ):
         out.write_text("keep\n")
         with pytest.raises(SystemExit) as stop:

@@ -20,7 +20,6 @@ from dccover.permgrp import (
     _table,
     arc_action,
     automorphism_group,
-    canonical_form,
     orbit_labels,
     perm_inverse,
 )
@@ -176,16 +175,17 @@ def test_refine_matches_the_reference_on_a_discrete_colouring(graph):
 
 
 def test_every_leaf_invariant_is_the_graph_relabelled_by_the_leaf(monkeypatch):
-    # The leaf key is the last node invariant: row c holds colour c, then
-    # the sorted colours of its vertex's neighbours.  A cover has no padding,
-    # so a colour of -1 is an individualised vertex, and ranking the colours
-    # of the first column gives the labels.
+    # The leaf key is the last node invariant, which the prune keeps equal
+    # to the first leaf's: row c holds colour c, then the sorted colours of
+    # its vertex's neighbours.  A cover has no padding, so a colour of -1 is
+    # an individualised vertex, and ranking the colours of the first column
+    # gives the labels.
     leaves = []
     real = permgrp._AutSearch._leaf
 
-    def recording(search, lab, path, inv_path):
-        leaves.append((search.table, lab, inv_path[-1]))
-        return real(search, lab, path, inv_path)
+    def recording(search, lab, path):
+        leaves.append((search.table, lab, search.first_invs[len(path)]))
+        return real(search, lab, path)
 
     monkeypatch.setattr(permgrp._AutSearch, "_leaf", recording)
     for cover in sweep_covers(300):
@@ -267,15 +267,6 @@ def adjacency(graph, nx):
     return [sorted(graph[v]) for v in range(graph.number_of_nodes())]
 
 
-def relabelled(adj, rng):
-    lab = list(range(len(adj)))
-    rng.shuffle(lab)
-    out = [[] for _ in adj]
-    for u, nbrs in enumerate(adj):
-        out[lab[u]] = [lab[v] for v in nbrs]
-    return out
-
-
 def gate_graphs(nx):
     rng = random.Random(20240917)
     for _ in range(250):
@@ -286,15 +277,13 @@ def gate_graphs(nx):
             yield nx.random_regular_graph(degree, n, seed=rng.randrange(2**32))
 
 
-def test_aut_order_and_canonical_form_match_networkx_on_random_graphs():
+def test_aut_order_matches_networkx_on_random_graphs():
     nx = pytest.importorskip("networkx")
-    rng = random.Random(3)
     checked = 0
     for graph in gate_graphs(nx):
         adj = adjacency(graph, nx)
         want = sum(1 for _ in nx.vf2pp_all_isomorphisms(graph, graph))
         assert automorphism_group(adj).order() == want, adj
-        assert canonical_form(adj) == canonical_form(relabelled(adj, rng)), adj
         checked += 1
     assert checked == 281
 
@@ -313,7 +302,6 @@ def test_rook_graph_and_shrikhande_graph_are_told_apart():
     ]
     assert automorphism_group(rook).order() == 1152
     assert automorphism_group(shrikhande).order() == 192
-    assert canonical_form(rook) != canonical_form(shrikhande)
 
 
 # -- the search's checks and walk against the ones they replaced ------------------
@@ -330,15 +318,12 @@ def test_rook_graph_and_shrikhande_graph_are_told_apart():
 )
 def test_automorphism_group_refuses_a_graph_before_the_search(adj, message, monkeypatch):
     # With no known permutation to check, the graph is still refused with
-    # arc_action's text, and no refinement runs; canonical_form refuses it
-    # alike.
+    # arc_action's text, and no refinement runs.
     calls = counted_refines(monkeypatch)
     with pytest.raises(ValueError, match=message):
         arc_action(adj)
     with pytest.raises(ValueError, match=message):
         automorphism_group(adj)
-    with pytest.raises(ValueError, match=message):
-        canonical_form(adj)
     assert calls == []
 
 
@@ -463,29 +448,19 @@ def test_the_children_of_a_cell_are_the_first_of_each_orbit_in_it():
         assert search._children(prefix, cell).tolist() == want
 
 
-def reference_dfs(self, node, prefix, inv_path, on_first, best_cmp):
+def reference_dfs(self, node, prefix):
     """_AutSearch._dfs with the per-vertex pruning loop that the orbit walk
     replaced: each vertex of the target cell is skipped when its orbit
     label, under the generators and their inverses that fix the prefix,
     is that of a vertex already tried."""
     self._tick()
     col, count, inv = node
-    inv_path = inv_path + [inv]
-    depth = len(inv_path) - 1
-    if on_first and self.first is not None:
-        if depth >= len(self.first.inv) or self.first.inv[depth] != inv:
-            on_first = False
-    if best_cmp == "EQ" and self.best is not None:
-        if depth >= len(self.best.inv):
-            best_cmp = "GT"
-        elif inv > self.best.inv[depth]:
-            best_cmp = "GT"
-        elif inv < self.best.inv[depth]:
-            best_cmp = "LT"
-    if self.best is not None and best_cmp == "LT" and not on_first:
+    if self.first is None:
+        self.first_invs.append(inv)
+    elif self.first_invs[len(prefix)] != inv:
         return None
     if count == len(col):
-        return self._leaf(col, prefix, inv_path)
+        return self._leaf(col, prefix)
     sizes = np.bincount(col)
     target = np.argmin(np.where(sizes > 1, sizes, len(col) + 1))
     if self.first is None:
@@ -504,8 +479,8 @@ def reference_dfs(self, node, prefix, inv_path, on_first, best_cmp):
         child = 2 * col
         child[v] -= 1
         node = permgrp._refine(self.table, child, count + 1)
-        jump = self._dfs(node, prefix + [v], inv_path, on_first, best_cmp)
-        if jump is not None and jump < depth:
+        jump = self._dfs(node, prefix + [v])
+        if jump is not None and jump < len(prefix):
             return jump
     return None
 
