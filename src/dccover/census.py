@@ -116,46 +116,48 @@ def _census_row(task) -> CensusRow:
     if refusal := CoverGraph.vertex_id_refusal(row["order"]):
         row["skipped"] = refusal
         return CensusRow(**row)
-    cover = build_cover(g, n, eps)
-    gens = lifted_generators(rep, cover)
     mismatches = []
-    # Automorphisms the aut search may start from: the lifts and deck
-    # translations once base_action has proven them, else none.
-    known = ()
-    # The lifted group is certified on the 4n base darts: its order is the
-    # induced group's times p^r, and its orbits are the induced group's.
+    # A row that runs out of memory keeps what it has verified and is
+    # skipped; the census goes on.
     try:
-        on_darts, base = cover.base_action(gens)
-    except NotCertified as err:
-        mismatches.append(f"lifted group not certified: {err}")
-    else:
-        known = gens
-        order, prof = _base_group(on_darts, base, verify)
-        row["verified_order"] = order * cover.fiber_size
-        if row["verified_order"] != rep.lifted_order:
-            mismatches.append(
-                f"lifted group order {row['verified_order']} != {rep.lifted_order}"
-            )
-        if prof is not None:
-            row["arc_orbits"] = prof["arc_orbits"]
-            want_arcs = 1 if rep.arc_transitive else 2
-            if not (prof["vertex_transitive"] and prof["edge_transitive"]):
-                mismatches.append("lifted group is not vertex- and edge-transitive")
-            if prof["arc_orbits"] != want_arcs:
-                mismatches.append(f"arc orbits {prof['arc_orbits']} != {want_arcs}")
-    if verify == "aut":
+        cover = build_cover(g, n, eps)
+        gens = lifted_generators(rep, cover)
+        # Automorphisms the aut search may start from: the lifts and deck
+        # translations once base_action has proven them, else none.
+        known = ()
+        # The lifted group is certified on the 4n base darts: its order is the
+        # induced group's times p^r, and its orbits are the induced group's.
         try:
-            aut = automorphism_group(
-                cover, limit=aut_limit, time_budget=time_budget, known=known
-            )
+            on_darts, base = cover.base_action(gens)
+        except NotCertified as err:
+            mismatches.append(f"lifted group not certified: {err}")
+        else:
+            known = gens
+            order, prof = _base_group(on_darts, base, verify)
+            row["verified_order"] = order * cover.fiber_size
+            if row["verified_order"] != rep.lifted_order:
+                mismatches.append(
+                    f"lifted group order {row['verified_order']} != {rep.lifted_order}"
+                )
+            if prof is not None:
+                row["arc_orbits"] = prof["arc_orbits"]
+                want_arcs = 1 if rep.arc_transitive else 2
+                if not (prof["vertex_transitive"] and prof["edge_transitive"]):
+                    mismatches.append("lifted group is not vertex- and edge-transitive")
+                if prof["arc_orbits"] != want_arcs:
+                    mismatches.append(f"arc orbits {prof['arc_orbits']} != {want_arcs}")
+        if verify == "aut":
+            aut = automorphism_group(cover, limit=aut_limit, time_budget=time_budget, known=known)
             row["aut_order"] = aut.order()
             if row["aut_order"] % rep.lifted_order:
                 mismatches.append(
                     f"lifts give no subgroup: {rep.lifted_order} does not divide "
                     f"{row['aut_order']}"
                 )
-        except OracleLimit as err:
-            row["skipped"] = str(err)
+    except OracleLimit as err:
+        row["skipped"] = str(err)
+    except MemoryError as err:
+        row["skipped"] = f"memory: {err}"
     if mismatches:
         row["mismatch"] = "; ".join(mismatches)
     return CensusRow(**row)
@@ -194,7 +196,8 @@ def census_rows(
     Rows are ordered by (n, p, eps) and then by divisor degree and
     coefficients, and a value given twice gives its rows once.  Rows whose
     cover is larger than max_order, or than int32 vertex ids can number,
-    skip the permutation checks but still carry the predicted values.  The
+    skip the permutation checks but still carry the predicted values; a row
+    whose checks run out of memory keeps what they verified.  The
     aut tier searches covers of up to aut_limit vertices, max_order by
     default.
     """

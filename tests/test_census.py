@@ -87,6 +87,30 @@ def test_a_row_too_large_for_int32_ids_is_skipped_before_its_cover(monkeypatch):
     assert row.verified_order is None and row.mismatch is None
 
 
+def test_a_row_out_of_memory_is_skipped_and_the_census_goes_on(monkeypatch, tmp_path):
+    # numpy's allocation failure is a MemoryError; the row that meets one
+    # keeps its predictions and is skipped, and every other row is kept.
+    plain = census_rows([3], [3], verify="lifts")
+    short = plain[1]
+    assert short.verified_order is not None
+    build = cover_module.CoverGraph._build_dart_ends
+
+    def build_short_of_memory(cover, cols):
+        if (cover.g.coeffs, cover.eps) == (short.g, short.eps):
+            raise MemoryError("Unable to allocate 3.61 GiB")
+        return build(cover, cols)
+
+    monkeypatch.setattr(cover_module.CoverGraph, "_build_dart_ends", build_short_of_memory)
+    rows = census_rows([3], [3], verify="lifts")
+    assert rows[1] == dataclasses.replace(
+        short, verified_order=None, skipped="memory: Unable to allocate 3.61 GiB"
+    )
+    assert rows[:1] + rows[2:] == plain[:1] + plain[2:]
+    out = tmp_path / "census.tsv"
+    assert main(["census", "--p", "3", "--n", "3", "--verify", "lifts", "--out", str(out)]) == 0
+    assert "\tmemory: Unable to allocate 3.61 GiB\t" in out.read_text()
+
+
 def test_aut_tier_orders_on_the_small_cubic_covers():
     rows = census_rows([7], [3], (0,), verify="aut", max_order=150, aut_limit=150)
     by_g = {r.g: r for r in rows}

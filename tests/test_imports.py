@@ -1,7 +1,7 @@
-"""Every name a library module imports is used, the package exports what it
-imports and nothing that only tests read, predictions never load numpy, the
-command line starts no BLAS thread pool, and the README's library example
-runs."""
+"""Every name a library module imports is used, no check in the package is
+an assert statement, the package exports what it imports and nothing that
+only tests read, predictions never load numpy, the command line starts no
+BLAS thread pool, and the README's library example runs."""
 
 import ast
 import inspect
@@ -41,6 +41,18 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_no_check_is_an_assert_statement():
+    # python -O strips assert statements, so every check in the package,
+    # __init__ included, raises explicitly and survives optimized mode.
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(dccover.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
 
 
 def test_all_lists_every_public_name_of_the_package():

@@ -18,7 +18,7 @@ from dccover.cover import (
 from dccover.dcycle import DCAut, in_span, span_basis, subgroup_from_case
 from dccover.fpoly import FpPoly, code_modulus, poly_one
 from dccover.lift import lifting_report, lifts_by_invariance
-from dccover.permgrp import PermGroup, transitivity_profile
+from dccover.permgrp import PermGroup, as_perm, transitivity_profile
 from dccover.reflex import (
     DivisorInfo,
     Reflexibility,
@@ -319,7 +319,7 @@ def test_propagation_matches_a_plain_reference():
                     assert got == want
                     witnesses += 1
                 else:
-                    assert got.tolist() == want
+                    assert as_perm(got, cov.order).tolist() == want
     assert witnesses == 4832  # of the 5,280 lifts
 
 
