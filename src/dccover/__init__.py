@@ -43,8 +43,8 @@ from .lift import (
 # The verification side loads numpy, so its names are imported on first
 # use (PEP 562): predicting a cover's symmetry never starts the engine.
 _LAZY = dict.fromkeys(
-    ("CoverGraph", "Inconsistent", "NotCertified", "build_cover", "extremal_cover",
-     "lift_by_propagation", "lifted_generators"),
+    ("CoverGraph", "Inconsistent", "NotCertified", "build_cover", "cover_isomorphism",
+     "extremal_cover", "lift_by_propagation", "lifted_generators"),
     "cover",
 ) | dict.fromkeys(
     ("NotAnAutomorphism", "OracleLimit", "PermGroup", "automorphism_group",
@@ -82,6 +82,7 @@ __all__ = [
     "code_modulus",
     "compress",
     "core_polynomial",
+    "cover_isomorphism",
     "divisor_info",
     "extremal_cover",
     "factor_code_modulus",

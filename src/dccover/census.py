@@ -18,6 +18,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
+from .dcycle import DCAut
 from .fpoly import FpPoly, is_odd_prime, require_proper_divisor
 from .lift import lifting_report
 from .reflex import divisor_info, modulus_divisors
@@ -88,6 +89,65 @@ def _base_group(on_darts, base, verify: str) -> tuple[int, dict | None]:
     return _BASE_GROUPS[key]
 
 
+# The aut_order of each row whose search finished in this census_rows call,
+# keyed (p, n, eps, g): a later row in its cover's isomorphism class takes
+# the order along a certified isomorphism instead of searching again.
+_SEARCHED: dict[tuple, int] = {}
+
+
+def _partners(g: FpPoly, n: int, eps: int) -> tuple[tuple[FpPoly, int, DCAut], ...]:
+    """The divisors whose covers a base automorphism carries onto the cover
+    of g, in lookup order, each with its eps and that automorphism, which
+    cover_isomorphism lifts from the partner's cover into g's.
+
+    On codes, read in Z_p[x]/(x^n - (-1)^eps) through homology_action, each
+    automorphism here is a ring isomorphism up to one sign on every
+    coordinate, and so carries the ideal of a divisor onto the ideal of its
+    image, made monic.  The reflection sends c_j to -c_(-j): it is
+    y(x) -> -y(x^-1) at eps = 0, and at eps = 1, where x^-j is -x^(n-j) for
+    0 < j < n only, the swap of arc pair 0 makes it y(x) -> y(x^-1).  It
+    carries <g*> onto <g>, g* the reciprocal.  The swap of the odd arc pairs
+    is y(x) -> y(-x) into the ring at eps xor (n mod 2), since (-x)^n -
+    (-1)^eps is (-1)^n (x^n - (-1)^(eps + n)), and carries <g(-x)> onto <g>.
+    The third partner, (g*)(-x), takes both, the reflection at its eps.
+    """
+    def reflection(e):
+        return DCAut.reflection(n) * DCAut.edge_swap(n, 0) if e else DCAut.reflection(n)
+
+    def negated(f):
+        return FpPoly(f.p, [-c if i % 2 else c for i, c in enumerate(f.coeffs)]).monic()
+
+    star = FpPoly(g.p, g.coeffs[::-1]).monic()
+    odd = DCAut(n, swaps=sum(1 << j for j in range(1, n, 2)))
+    flipped = eps ^ n % 2
+    return (
+        (star, eps, reflection(eps)),
+        (negated(g), flipped, odd),
+        (negated(star), flipped, reflection(flipped) * odd),
+    )
+
+
+def _transported_order(cover: CoverGraph, mismatches: list) -> int | None:
+    """The aut_order of the first partner (_partners) whose search finished
+    in this call, once cover_isomorphism certifies the bijection its
+    automorphism lifts to, from the partner's cover, built again, into this
+    one.  None when no partner was searched, or, with a mismatch noted,
+    when the bijection is not certified; the row then runs its own search.
+    """
+    n = cover.n
+    for g, eps, aut in _partners(cover.g, n, cover.eps):
+        order = _SEARCHED.get((g.p, n, eps, g.coeffs))
+        if order is None:
+            continue
+        try:
+            cover_isomorphism(aut, build_cover(g, n, eps), cover)
+        except NotCertified as err:
+            mismatches.append(f"cover isomorphism not certified: {err}")
+            return None
+        return order
+    return None
+
+
 def _census_row(task) -> CensusRow:
     p, n, eps, g, verify, max_order, aut_limit, time_budget = task
     info = divisor_info(g, n, eps)
@@ -147,8 +207,12 @@ def _census_row(task) -> CensusRow:
                 if prof["arc_orbits"] != want_arcs:
                     mismatches.append(f"arc orbits {prof['arc_orbits']} != {want_arcs}")
         if verify == "aut":
-            aut = automorphism_group(cover, limit=aut_limit, time_budget=time_budget, known=known)
-            row["aut_order"] = aut.order()
+            row["aut_order"] = _transported_order(cover, mismatches)
+            if row["aut_order"] is None:
+                aut = automorphism_group(
+                    cover, limit=aut_limit, time_budget=time_budget, known=known
+                )
+                row["aut_order"] = _SEARCHED[p, n, eps, g.coeffs] = aut.order()
             if row["aut_order"] % rep.lifted_order:
                 mismatches.append(
                     f"lifts give no subgroup: {rep.lifted_order} does not divide "
@@ -199,7 +263,9 @@ def census_rows(
     skip the permutation checks but still carry the predicted values; a row
     whose checks run out of memory keeps what they verified.  The
     aut tier searches covers of up to aut_limit vertices, max_order by
-    default.
+    default, and a row whose cover is isomorphic to one searched earlier in
+    the call, by a partner's automorphism (_partners), takes that order
+    along the certified isomorphism instead (_transported_order).
     """
     if verify not in VERIFY_TIERS:
         raise ValueError(f"verify must be one of {VERIFY_TIERS}")
@@ -207,6 +273,7 @@ def census_rows(
     if aut_limit is None:
         aut_limit = max_order
     _BASE_GROUPS.clear()
+    _SEARCHED.clear()
     tasks = []
     for n in sorted(set(ns)):
         for p in sorted(set(ps)):

@@ -18,7 +18,14 @@ import numpy as np
 from .dcycle import DCAut
 from .fpoly import FpPoly, as_ints, is_odd_prime, require_proper_divisor
 from .lift import LiftReport
-from .permgrp import Darts, NotAnAutomorphism, arc_action, as_perm, orbit_labels
+from .permgrp import (
+    Darts,
+    NotAnAutomorphism,
+    _check_automorphisms,
+    arc_action,
+    as_perm,
+    orbit_labels,
+)
 
 
 class NotCertified(ValueError):
@@ -283,10 +290,18 @@ def lift_by_propagation(
     return lifted[1] if isinstance(lifted, tuple) else lifted[0]
 
 
-def _propagate(auts, cover: CoverGraph, base_images) -> np.ndarray | tuple[int, Inconsistent]:
+def _propagate(
+    auts, cover: CoverGraph, base_images, target: CoverGraph | None = None
+) -> np.ndarray | tuple[int, Inconsistent]:
     """lift_by_propagation of every automorphism, in one propagation: the
     array whose row k is the lift of auts[k], or else the index and witness
     of the first to conflict.
+
+    With a target cover, of the same cycle length and fiber size, each dart
+    at a vertex of cover maps to the dart over the image of its base dart
+    at the image vertex in target, and a base image names a vertex of
+    target: a row that completes maps cover's vertices to target's.  The
+    target is cover itself by default.
 
     The levels of the breadth-first search from vertex 0 depend only on the
     graph, so one frontier serves them all, and no row reads another.  The
@@ -295,17 +310,21 @@ def _propagate(auts, cover: CoverGraph, base_images) -> np.ndarray | tuple[int, 
     gives alone.  A vertex reached by several darts of one level takes the
     image the last of them forces.
 
-    A row that completes is a bijection.  Each level compares every dart at
-    the vertices the level before placed, so a propagation that ends
-    without a conflict has compared every dart at every vertex it reached.
-    The four darts at a vertex go to the four darts at its image, since an
-    automorphism's tracks at each base vertex are a permutation of 0..3, so
-    a row maps the four neighbours of each vertex onto the four neighbours
-    of its image.  Its image is therefore closed under adjacency, which
-    makes it all of the connected cover, and a map of a finite set onto
-    itself is a bijection.  The reach check below is the graph-side
-    evidence of that connectivity.
+    A row that completes is a bijection onto target's vertices.  Each level
+    compares every dart at the vertices the level before placed, so a
+    propagation that ends without a conflict has compared every dart at
+    every vertex it reached.  The four darts at a vertex go to the four
+    darts at its image, since an automorphism's tracks at each base vertex
+    are a permutation of 0..3, so a row maps the four neighbours of each
+    vertex onto the four neighbours of its image in target.  Its image is
+    therefore closed under adjacency in target, which makes it all of the
+    connected target (see CoverGraph), and a map onto a set of the same size
+    is a bijection.  The reach check below is the graph-side evidence of
+    cover's connectivity.
     """
+    target = cover if target is None else target
+    if (target.n, target.fiber_size) != (cover.n, cover.fiber_size):
+        raise ValueError("the target cover has another cycle length or fiber size")
     n, size, ends = cover.n, cover.fiber_size, cover.dart_ends
     image = np.full((len(auts), cover.order), -1, dtype=np.int32)
     if not auts:
@@ -314,9 +333,9 @@ def _propagate(auts, cover: CoverGraph, base_images) -> np.ndarray | tuple[int, 
         if aut.n != n:
             raise ValueError("automorphism and cover disagree on the cycle length")
         if base is None:
-            base = cover.vertex_id((0,) * cover.r, aut.vertex_image(0))
+            base = target.vertex_id((0,) * target.r, aut.vertex_image(0))
         (base,) = as_ints((base,), "base images")
-        if cover.layer(base) != aut.vertex_image(0):
+        if target.layer(base) != aut.vertex_image(0):
             raise ValueError("base image must lie over the image of vertex 0")
         image[k, 0] = base
     # tracks[k, j, t]: track of the image under auts[k] of the dart of track t
@@ -325,7 +344,8 @@ def _propagate(auts, cover: CoverGraph, base_images) -> np.ndarray | tuple[int, 
     frontier = np.zeros(1, dtype=np.int32)
     while len(frontier):
         v = ends[frontier].ravel()
-        iv = ends[image[:, frontier, None], tracks[:, frontier // size]].reshape(len(auts), -1)
+        iv = target.dart_ends[image[:, frontier, None], tracks[:, frontier // size]]
+        iv = iv.reshape(len(auts), -1)
         # Every row places the same vertices at each level, so row 0 tells.
         fresh = np.flatnonzero(image[0, v] < 0)
         frontier, last = np.unique(v[fresh][::-1], return_index=True)
@@ -338,6 +358,46 @@ def _propagate(auts, cover: CoverGraph, base_images) -> np.ndarray | tuple[int, 
     if (image < 0).any():
         raise AssertionError("propagation did not reach every vertex")
     return image
+
+
+def cover_isomorphism(aut: DCAut, source: CoverGraph, target: CoverGraph) -> np.ndarray:
+    """The isomorphism from source onto target that the base automorphism
+    lifts to, as an int32 image array, vertex 0 sent to the zero fiber
+    point over its base image.
+
+    Why one may exist.  A base automorphism acts on the first homology of
+    the doubled cycle (DCAut.homology_action), hence on codes, and it lifts
+    to an isomorphism between two regular covers exactly when it carries
+    the homology that one cover's voltages kill onto the other's (Malnič,
+    Nedela and Škoviera, "Lifting graph automorphisms by voltage
+    assignments", European J. Combin. 21, 2000).  In the terms of
+    lift.lifts_by_invariance, aut carries the code of source's divisor
+    onto the code of target's, the criterion with two codes in place of
+    one; census._partners names such an aut for each pair of divisors it
+    pairs.
+
+    Nothing here trusts that.  The lift is one propagation from source into
+    target (_propagate), which completes to a bijection or conflicts; as_perm
+    checks the bijection, and _check_automorphisms checks on the two
+    neighbour tables that it sends the neighbours of every vertex onto the
+    neighbours of its image, so it is a graph isomorphism.  Conjugation by
+    an isomorphism phi, alpha -> phi^-1 alpha phi, is a bijection from
+    Aut(source) onto Aut(target), so the two covers have automorphism
+    groups of one order.
+
+    Raises NotCertified, naming the first conflict or the check that failed,
+    and ValueError when the covers differ in cycle length or fiber size.
+    """
+    lifted = _propagate([aut], source, [None], target)
+    if isinstance(lifted, tuple):
+        w = lifted[1]
+        raise NotCertified(f"{aut} forces vertex {w.vertex} onto both {w.expected} and {w.got}")
+    try:
+        iso = as_perm(lifted[0], target.order)
+        _check_automorphisms(source.dart_ends, target.dart_ends, [iso])
+    except ValueError as err:
+        raise NotCertified(f"the lift of {aut}: {err}") from None
+    return iso
 
 
 def lifted_generators(report: LiftReport, cover: CoverGraph) -> list[np.ndarray]:

@@ -4,12 +4,14 @@ import dataclasses
 import importlib.util
 import inspect
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dccover.census as census_mod
@@ -25,8 +27,11 @@ from dccover.census import (
 )
 import dccover.cover as cover_module
 import dccover.permgrp as permgrp
-from dccover.cover import build_cover
+from dccover.cover import NotCertified, build_cover, cover_isomorphism, lifted_generators
+from dccover.dcycle import DCAut
 from dccover.fpoly import FpPoly
+from dccover.lift import lifting_report
+from dccover.reflex import divisor_info, modulus_divisors
 
 # Verified classification of the seven divisors of x^3 - 1 over Z_7, keyed by
 # coefficient tuple: (wr, mwr, order, symmetry, lifted order, minimal).
@@ -514,6 +519,8 @@ def test_uncertified_rows_still_get_their_aut_order_from_an_unseeded_search(
     # The same lifts-only generators at the aut tier: the search starts from
     # nothing, since base_action proved none of them, and finds the orders of
     # an unpatched census.  Certified rows pass their lifts and translations.
+    # Two reciprocal pairs, 3 + x with 5 + x and 2 + 4x + x^2 with
+    # 4 + 2x + x^2, each search once and carry the order to the second row.
     argv = ["census", "--p", "7", "--n", "3", "--eps", "0", "--verify", "aut",
             "--format", "jsonl"]
     real_search = census_mod.automorphism_group
@@ -526,7 +533,7 @@ def test_uncertified_rows_still_get_their_aut_order_from_an_unseeded_search(
     monkeypatch.setattr(census_mod, "automorphism_group", recorded)
     plain = tmp_path / "plain.jsonl"
     assert main([*argv, "--out", str(plain)]) == 0
-    assert len(seeded) == 7 and all(seeded)
+    assert len(seeded) == 5 and all(seeded)
 
     real = census_mod.lifted_generators
 
@@ -536,7 +543,7 @@ def test_uncertified_rows_still_get_their_aut_order_from_an_unseeded_search(
     monkeypatch.setattr(census_mod, "lifted_generators", lifts_only)
     patched = tmp_path / "patched.jsonl"
     assert main([*argv, "--out", str(patched)]) == 2
-    assert seeded[7:] == [0] * 7
+    assert seeded[5:] == [0] * 5
     want = [json.loads(line) for line in plain.read_text().splitlines()]
     got = [json.loads(line) for line in patched.read_text().splitlines()]
     assert [row["aut_order"] for row in got] == [row["aut_order"] for row in want]
@@ -601,3 +608,143 @@ def test_cli_exits_quietly_when_the_reader_goes_away(argv):
         err = child.stderr.read().decode()
     assert child.wait(timeout=120) == 1
     assert err == ""
+
+
+def partner_pairs(max_order):
+    """(partner cover, automorphism, cover) for every divisor of n 3..7 and
+    p 3, 5, 7 with a cover of at most max_order vertices, and each of its
+    partners (_partners) other than itself, in the direction the census
+    carries an order: from the partner's cover into the divisor's."""
+    for n in range(3, 8):
+        for p in (3, 5, 7):
+            for eps in (0, 1):
+                for g in modulus_divisors(n, eps, p):
+                    if n * p ** (n - g.degree) > max_order:
+                        continue
+                    cover = build_cover(g, n, eps)
+                    for h, e, aut in census_mod._partners(g, n, eps):
+                        if (h, e) != (g, eps):
+                            yield build_cover(h, n, e), aut, cover
+
+
+def test_every_partner_automorphism_lifts_to_a_cover_isomorphism():
+    # The recipe carries every pair it names, and the bijection maps the
+    # edges of one cover onto the edges of the other, by a plain edge list.
+    pairs = 0
+    for source, aut, target in partner_pairs(300):
+        iso = cover_isomorphism(aut, source, target).tolist()
+        carried = sorted(tuple(sorted((iso[u], iso[v]))) for u, v in source.edges())
+        assert carried == target.edges()
+        pairs += 1
+    assert pairs == 212
+
+
+def test_the_plain_reflection_is_no_isomorphism_at_eps_1():
+    # Without the swap of arc pair 0 the reflection sends the constant of the
+    # code to minus itself at eps = 1, and the propagation conflicts.
+    source, target = (build_cover(FpPoly(7, g), 3, 1) for g in ((2, 1), (4, 1)))
+    with pytest.raises(NotCertified, match="s forces vertex 52 onto both 6 and 1"):
+        cover_isomorphism(DCAut.reflection(3), source, target)
+    twisted = DCAut.reflection(3) * DCAut.edge_swap(3, 0)
+    assert ((2, 1), 1, twisted) == next(
+        (h.coeffs, e, aut) for h, e, aut in census_mod._partners(target.g, 3, 1)
+    )
+    cover_isomorphism(twisted, source, target)
+
+
+
+def test_an_isomorphism_between_covers_of_other_shapes_is_refused():
+    # Covers of one n whose fibers differ have no isomorphism to propagate.
+    source, target = (build_cover(FpPoly(7, g), 3, 0) for g in ((3, 1), (1, 1, 1)))
+    with pytest.raises(ValueError, match="another cycle length or fiber size"):
+        cover_isomorphism(DCAut.reflection(3), source, target)
+
+@pytest.mark.parametrize("sweep", ["aut-oracle", "n 3..5"])
+def test_transported_aut_orders_match_an_independent_search(sweep, monkeypatch, tmp_path):
+    # Every row that takes its order from an earlier row's search gets the
+    # order its own search, seeded with its certified lifts, finds.
+    if sweep == "aut-oracle":
+        args = load_bench_runner(monkeypatch).census_args("aut-oracle", "bench")
+        transported = 24
+    else:
+        args = ["--p", "3,5,7", "--n", "3..5", "--verify", "aut", "--max-order", "1000"]
+        transported = 33
+    real = census_mod.automorphism_group
+    searched = set()
+
+    def recorded(cover, **kwargs):
+        searched.add((cover.p, cover.n, cover.eps, cover.g.coeffs))
+        return real(cover, **kwargs)
+
+    monkeypatch.setattr(census_mod, "automorphism_group", recorded)
+    out = tmp_path / "rows.jsonl"
+    assert main(["census", *args, "--format", "jsonl", "--out", str(out)]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    carried = [
+        row for row in rows
+        if row["aut_order"] is not None
+        and (row["p"], row["n"], row["eps"], tuple(row["g"])) not in searched
+    ]
+    assert len(carried) == transported
+    for row in carried:
+        g = FpPoly(row["p"], row["g"])
+        cover = build_cover(g, row["n"], row["eps"])
+        known = lifted_generators(lifting_report(divisor_info(g, row["n"], row["eps"])), cover)
+        assert real(cover, limit=cover.order, known=known).order() == row["aut_order"]
+
+
+def test_an_uncertified_isomorphism_is_a_mismatch_and_the_row_searches(monkeypatch, tmp_path):
+    # A recipe that gives the plain reflection at eps = 1 pairs 2 + x with
+    # 4 + x, and 2 + 3x + x^2 with 4 + 5x + x^2.  The second row of each pair
+    # reports the conflict and takes the order of its own search.
+    argv = ["census", "--p", "7", "--n", "3", "--eps", "1", "--verify", "aut",
+            "--format", "jsonl"]
+    plain = tmp_path / "plain.jsonl"
+    assert main([*argv, "--out", str(plain)]) == 0
+    real_partners = census_mod._partners
+
+    def untwisted(g, n, eps):
+        (star, e, aut), *rest = real_partners(g, n, eps)
+        return ((star, e, DCAut.reflection(n) if e else aut), *rest)
+
+    real_search = census_mod.automorphism_group
+    searches = []
+
+    def counted(cover, **kwargs):
+        searches.append(cover.g.coeffs)
+        return real_search(cover, **kwargs)
+
+    monkeypatch.setattr(census_mod, "_partners", untwisted)
+    monkeypatch.setattr(census_mod, "automorphism_group", counted)
+    patched = tmp_path / "patched.jsonl"
+    assert main([*argv, "--out", str(patched)]) == 2
+    want = [json.loads(line) for line in plain.read_text().splitlines()]
+    got = [json.loads(line) for line in patched.read_text().splitlines()]
+    assert len(searches) == len(got) == 7
+    assert [row["aut_order"] for row in got] == [row["aut_order"] for row in want]
+    refused = {tuple(row["g"]): row["mismatch"] for row in got if row["mismatch"]}
+    assert sorted(refused) == [(4, 1), (4, 5, 1)]
+    for text in refused.values():
+        assert text.startswith("cover isomorphism not certified: s forces vertex ")
+    assert not any(row["mismatch"] for row in want)
+
+
+def test_the_two_table_check_names_the_edge_a_plain_edge_list_does():
+    # The isomorphisms pass the sorted-row check across two tables; with two
+    # images swapped one is refused, naming the first dart, row-major, of the
+    # source whose image is not an edge of the target.
+    rng = np.random.default_rng(33)
+    refused = 0
+    for source, aut, target in itertools.islice(partner_pairs(300), 0, None, 4):
+        iso = cover_isomorphism(aut, source, target)
+        permgrp._check_automorphisms(source.dart_ends, target.dart_ends, [iso])
+        bad = iso.copy()
+        i, j = rng.choice(len(bad), 2, replace=False)
+        bad[[i, j]] = bad[[j, i]]
+        edges = set(target.edges())
+        darts = [(u, int(v)) for u, row in enumerate(source.dart_ends) for v in row]
+        u, v = next((u, v) for u, v in darts if tuple(sorted((bad[u], bad[v]))) not in edges)
+        with pytest.raises(permgrp.NotAnAutomorphism, match=rf"^edge \({u},{v}\) is not "):
+            permgrp._check_automorphisms(source.dart_ends, target.dart_ends, [bad])
+        refused += 1
+    assert refused == 53
