@@ -282,6 +282,9 @@ def census_rows(
                     tasks.append(
                         (p, n, eps, g, verify, max_order, aut_limit, time_budget)
                     )
+    # The fork start method starts every worker on the first submit, so a
+    # pool larger than the rows would start workers that take none.
+    jobs = min(jobs, len(tasks))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

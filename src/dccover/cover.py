@@ -18,14 +18,7 @@ import numpy as np
 from .dcycle import DCAut
 from .fpoly import FpPoly, as_ints, is_odd_prime, require_proper_divisor
 from .lift import LiftReport
-from .permgrp import (
-    Darts,
-    NotAnAutomorphism,
-    _check_automorphisms,
-    arc_action,
-    as_perm,
-    orbit_labels,
-)
+from .permgrp import Darts, NotAnAutomorphism, arc_action, as_perm, orbit_labels
 
 
 class NotCertified(ValueError):
@@ -100,7 +93,19 @@ class CoverGraph:
         return out
 
     def _build_dart_ends(self, cols: np.ndarray) -> np.ndarray:
-        """Read-only table [v, t] of the end vertex of the dart of track t at v."""
+        """Read-only table [v, t] of the end vertex of the dart of track t at v.
+
+        The reverse of the dart of track t at u is the dart of track t ^ 2 at
+        its head.  From u = (v, j), track 0 leads to (v + col_j, j+1), where
+        track 2 subtracts col_j and steps back to u; track 1 leads to
+        (v - col_j, j+1), where track 3 adds col_j back.  Tracks 2 and 3 at u
+        lead to (v - col_(j-1), j-1) and (v + col_(j-1), j-1), where tracks
+        0 and 1 return.  The cover is simple, so the dart of its head that
+        leads back to u is that one.  Every dart of track t in layer j thus
+        ends in layer j+1 for t < 2 and j-1 for t >= 2, and the reversal
+        sends the darts over base dart 4j+t onto those over base dart
+        4((j +- 1) mod n) + (t ^ 2): it projects to the base darts.
+        """
         add, sub = self._fiber_add(cols), self._fiber_add(-cols)
         size = self.fiber_size
         layers = np.arange(self.n)
@@ -147,29 +152,27 @@ class CoverGraph:
         Returns the induced base-dart permutations and the doubled cycle as
         Darts (the projected arc reversal, and tail j of base dart 4j+t).
         The dart of track t at u lies over base dart 4(u // fiber_size) + t,
-        in the numbering of DCAut.arc_perm.
+        in the numbering of DCAut.arc_perm, and the arc reversal projects to
+        the base darts by construction (_build_dart_ends), so the reversal
+        is read from n alone.
 
         Raises NotCertified, naming the check that failed, unless every
         permutation maps darts to darts, sending all darts over one base
-        dart to darts over one base dart, the arc reversal projects to base
-        darts too, and the given permutations that induce the identity
-        there, which map each fiber to itself, are transitive on the fiber
-        of vertex 0.  That check reads the given permutations, not the group
-        they generate, so it refuses a generating set that shows too little
-        of the kernel even when G's kernel fills a fiber; adding the deck
-        translations supplies the kernel.  The cover's own check comes first,
-        then the permutations in order, each passing as_perm before the next
-        is read.
+        dart to darts over one base dart, and the given permutations that
+        induce the identity there, which map each fiber to itself, are
+        transitive on the fiber of vertex 0.  That check reads the given
+        permutations, not the group they generate, so it refuses a
+        generating set that shows too little of the kernel even when G's
+        kernel fills a fiber; adding the deck translations supplies the
+        kernel.  The permutations are checked in order, each passing as_perm
+        before the next is read.
 
-        How it is checked.  Dart (u, t) must reverse to the dart of track
-        t ^ 2 at its head, and the heads of the darts over one base dart
-        must lie in one layer, so that the reversal projects.  Each
-        permutation is read at the first vertex of each layer j: the layer
-        its image lies in, and the track map T[j] that sends each dart there
-        to the track of its image.  Every vertex of layer j must then go to
-        that layer, and every dart (u, t) to the dart of track T[j, t] at
-        the image of u: one gather compare over the darts of each
-        permutation in turn.  The cover is simple, so this proves that they
+        How it is checked.  Each permutation is read at the first vertex of
+        each layer j: the layer its image lies in, and the track map T[j]
+        that sends each dart there to the track of its image.  Every vertex
+        of layer j must then go to that layer, and every dart (u, t) to the
+        dart of track T[j, t] at the image of u: one gather compare over the
+        darts of each permutation in turn.  The cover is simple, so this proves that they
         are automorphisms and that the projection is well defined.
 
         Why that determines G.  An element of the kernel K of the action that
@@ -184,13 +187,6 @@ class CoverGraph:
         and base darts.
         """
         n, size, ends = self.n, self.fiber_size, self.dart_ends
-        swap = np.array([2, 3, 0, 1], dtype=np.int32)
-        head_layers = (ends // size).reshape(n, size, 4)
-        if not (
-            (ends[ends, swap] == np.arange(self.order)[:, None]).all()
-            and (head_layers == head_layers[:, :1]).all()
-        ):
-            raise NotCertified("the arc reversal does not act on the base darts")
         darts = np.arange(4 * n, dtype=np.int32)
         top = ends[::size]
         induced, kernel = [], []
@@ -213,7 +209,10 @@ class CoverGraph:
                 "the given permutations acting trivially on base darts are not "
                 "transitive on a fiber; adding the deck translations supplies the kernel"
             )
-        reversal = (head_layers[:, 0] * 4 + swap).ravel().astype(np.int32)
+        # Base dart 4j+t reverses to 4(j + 1) + (t ^ 2) for t < 2, and to
+        # 4(j - 1) + (t ^ 2) otherwise (_build_dart_ends).
+        t = darts % 4
+        reversal = (darts // 4 + 1 - t // 2 * 2) % n * 4 + (t ^ 2)
         return induced, Darts(reversal, darts // 4)
 
     def _refusal(self, perm: np.ndarray) -> str:
@@ -377,13 +376,16 @@ def cover_isomorphism(aut: DCAut, source: CoverGraph, target: CoverGraph) -> np.
     pairs.
 
     Nothing here trusts that.  The lift is one propagation from source into
-    target (_propagate), which completes to a bijection or conflicts; as_perm
-    checks the bijection, and _check_automorphisms checks on the two
-    neighbour tables that it sends the neighbours of every vertex onto the
-    neighbours of its image, so it is a graph isomorphism.  Conjugation by
-    an isomorphism phi, alpha -> phi^-1 alpha phi, is a bijection from
-    Aut(source) onto Aut(target), so the two covers have automorphism
-    groups of one order.
+    target (_propagate), which completes or conflicts.  A row that completes
+    has compared every dart of source, sending the neighbours of each vertex
+    to neighbours of its image in target, and aut's tracks at each base
+    vertex are a permutation of 0..3, so the four darts at a vertex go onto
+    the four at its image: _propagate proves from this that the row is a
+    bijection, and as_perm checks it.  A bijection that maps every edge of
+    source to an edge of target, which has as many, is a graph
+    isomorphism.  Conjugation by an isomorphism phi, alpha -> phi^-1 alpha
+    phi, is a bijection from Aut(source) onto Aut(target), so the two
+    covers have automorphism groups of one order.
 
     Raises NotCertified, naming the first conflict or the check that failed,
     and ValueError when the covers differ in cycle length or fiber size.
@@ -393,11 +395,9 @@ def cover_isomorphism(aut: DCAut, source: CoverGraph, target: CoverGraph) -> np.
         w = lifted[1]
         raise NotCertified(f"{aut} forces vertex {w.vertex} onto both {w.expected} and {w.got}")
     try:
-        iso = as_perm(lifted[0], target.order)
-        _check_automorphisms(source.dart_ends, target.dart_ends, [iso])
+        return as_perm(lifted[0], target.order)
     except ValueError as err:
         raise NotCertified(f"the lift of {aut}: {err}") from None
-    return iso
 
 
 def lifted_generators(report: LiftReport, cover: CoverGraph) -> list[np.ndarray]:

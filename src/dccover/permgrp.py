@@ -378,7 +378,7 @@ def _slot(rows: np.ndarray, want: np.ndarray) -> np.ndarray:
     return slot
 
 
-def arc_action(graph, target=None):
+def arc_action(graph):
     """The map from vertex permutations to arc permutations, and the Darts.
 
     The graph is read and checked by _table, whose ValueErrors this raises.
@@ -388,36 +388,24 @@ def arc_action(graph, target=None):
     slot's entry (_slot); the reversal is read from the slot search that
     checked the graph's symmetry.  The map raises NotAnAutomorphism, naming
     the first arc whose image is not an arc.
-
-    With a target graph, read by _table too and of as many vertices, the
-    map takes vertex bijections from graph to target, and the rows it reads
-    images in are target's; the Darts are still graph's.
     """
-    table, back = _table_and_back(graph)
-    return _arcs(table, back, None if target is None else _table(target))
+    return _arcs(*_table_and_back(graph))
 
 
-def _arcs(table: np.ndarray, back: np.ndarray, onto: np.ndarray | None = None):
-    """arc_action on what _table_and_back returned, into onto's arcs,
-    table's by default."""
-    onto = table if onto is None else onto
-    if len(onto) != len(table):
-        raise ValueError("the graphs have different numbers of vertices")
+def _arcs(table: np.ndarray, back: np.ndarray):
+    """arc_action on what _table_and_back returned."""
     real = table < len(table)
     arc = np.cumsum(real, dtype=np.int32).reshape(table.shape) - 1
-    onto_arc = arc
-    if onto is not table:
-        onto_arc = np.cumsum(onto < len(onto), dtype=np.int32).reshape(onto.shape) - 1
     tails = np.repeat(np.arange(len(table), dtype=np.int32), real.sum(axis=1))
     heads = table[real]
 
     def arc_perm(perm) -> np.ndarray:
         g = as_perm(perm, len(table))
-        slot = _slot(onto[g[tails]], g[heads])
+        slot = _slot(table[g[tails]], g[heads])
         if (slot < 0).any():
             k = np.argmin(slot)
             raise NotAnAutomorphism(f"edge ({tails[k]},{heads[k]}) is not preserved")
-        return onto_arc[g[tails], slot]
+        return arc[g[tails], slot]
 
     return arc_perm, Darts(arc[heads, back], tails)
 
@@ -551,13 +539,6 @@ def _refine(table: np.ndarray, col: np.ndarray, count: int):
         count = grown
 
 
-class _Leaf(NamedTuple):
-    """A leaf of the search: its discrete colouring and the vertices individualised."""
-
-    lab: np.ndarray
-    path: list[int]
-
-
 class _AutSearch:
     """Backtracking search over refined colourings of a neighbour table.
 
@@ -596,7 +577,7 @@ class _AutSearch:
         self.gens = np.array(known, dtype=np.int32).reshape(len(known), len(table))
         self.first_invs: list[bytes] = []
         self.first_cells: list[int] = []
-        self.first: _Leaf | None = None
+        self.first: tuple[np.ndarray, list[int]] | None = None
 
     def run(self) -> "_AutSearch":
         start = np.zeros(len(self.table), dtype=np.int64)
@@ -620,7 +601,7 @@ class _AutSearch:
         """
         lower = 1
         fixed = self.gens
-        for v in self.first.path:
+        for v in self.first[1]:
             if not len(fixed):
                 break
             label = orbit_labels(fixed.T)
@@ -685,21 +666,19 @@ class _AutSearch:
             at = int(children[k])
 
     def _leaf(self, lab, path) -> int | None:
-        """Keep the first leaf; record each later one against it (_record)."""
-        leaf = _Leaf(lab, path)
+        """Keep the first leaf, its discrete colouring and the vertices
+        individualised; at each later one, keep the automorphism sending
+        each vertex of the first leaf's labelling to its twin in this one's,
+        and return the depth of their deepest common ancestor."""
         if self.first is None:
-            self.first = leaf
+            self.first = lab, path
             return None
-        return self._record(self.first, leaf)
-
-    def _record(self, a: _Leaf, b: _Leaf) -> int:
-        """Keep the automorphism sending each vertex of leaf a's labelling
-        to its twin in leaf b's; the depth of their deepest common ancestor."""
-        g = perm_inverse(b.lab)[a.lab]
+        first_lab, first_path = self.first
+        g = perm_inverse(lab)[first_lab]
         if (g != np.arange(len(g))).any() and not (self.gens == g).all(axis=1).any():
             self.gens = np.concatenate([self.gens, [g]])
         depth = 0
-        for u, v in zip(a.path, b.path):
+        for u, v in zip(first_path, path):
             if u != v:
                 break
             depth += 1
@@ -709,22 +688,19 @@ class _AutSearch:
 DEFAULT_ORACLE_LIMIT = 256
 
 
-def _check_automorphisms(source: np.ndarray, target: np.ndarray, perms) -> None:
-    """NotAnAutomorphism, naming the edge as arc_action does, when a vertex
-    bijection does not map source's arcs onto target's; automorphisms are
-    the case target is source.
+def _check_automorphisms(table: np.ndarray, perms) -> None:
+    """NotAnAutomorphism, naming the edge as arc_action does, when a
+    permutation breaks one.
 
-    On tables of one shape that repeat no arc (_table) and hold equally
-    many arcs, g maps the arcs of source onto those of target exactly when
-    the images of each vertex's neighbours, sorted, are the sorted
-    neighbours of its image in target, with the padding sentinel sent to
-    itself: one gather and one row sort per permutation.  g is then an
-    isomorphism from source to target.  The arc table is built only to
-    name the edge."""
-    rows = np.sort(target, axis=1)
+    On a graph that repeats no arc (_table), g preserves the arcs
+    exactly when the images of each vertex's neighbours, sorted, are the
+    sorted neighbours of its image, with the padding sentinel sent to
+    itself: one gather and one row sort per permutation.  The arc table is
+    built only to name the edge."""
+    rows = np.sort(table, axis=1)
     for g in perms:
-        if not np.array_equal(np.sort(np.append(g, len(source))[source], axis=1), rows[g]):
-            arc_action(source, target)[0](g)
+        if not np.array_equal(np.sort(np.append(g, len(table))[table], axis=1), rows[g]):
+            arc_action(table)[0](g)
             raise AssertionError("the sorted rows refuse a permutation the arcs keep")
 
 
@@ -752,8 +728,8 @@ def automorphism_group(
     """
     table = _table(graph, limit)
     seeds = [as_perm(g, len(table)) for g in known]
-    _check_automorphisms(table, table, seeds)
+    _check_automorphisms(table, seeds)
     search = _AutSearch(table, time_budget, seeds).run()
-    _check_automorphisms(table, table, search.gens[len(seeds) :])
+    _check_automorphisms(table, search.gens[len(seeds) :])
     lower, upper = search.order_bounds()
     return PermGroup._of_perms(search.gens, len(table), upper, lower)

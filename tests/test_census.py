@@ -4,14 +4,12 @@ import dataclasses
 import importlib.util
 import inspect
 import io
-import itertools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import dccover.census as census_mod
@@ -142,6 +140,35 @@ def test_parallel_jobs_match_serial():
     serial = census_rows([7], [3], (0,), verify="lifts")
     parallel = census_rows([7], [3], (0,), verify="lifts", jobs=2)
     assert serial == parallel
+
+
+def test_the_process_pool_is_no_larger_than_the_sweep(monkeypatch):
+    # A pool starts every worker on its first submit, so --jobs above the
+    # row count is cut to it.  The fake pool maps serially and starts no
+    # process.
+    import concurrent.futures
+
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    serial = census_rows([3], [3], (0,), verify="lifts")
+    assert len(serial) == 3
+    assert census_rows([3], [3], (0,), verify="lifts", jobs=1000) == serial
+    assert census_rows([3], [3], (0,), verify="lifts", jobs=2) == serial
+    assert pools == [3, 2]
 
 
 def test_mixed_sweep_has_no_mismatches():
@@ -727,24 +754,3 @@ def test_an_uncertified_isomorphism_is_a_mismatch_and_the_row_searches(monkeypat
     for text in refused.values():
         assert text.startswith("cover isomorphism not certified: s forces vertex ")
     assert not any(row["mismatch"] for row in want)
-
-
-def test_the_two_table_check_names_the_edge_a_plain_edge_list_does():
-    # The isomorphisms pass the sorted-row check across two tables; with two
-    # images swapped one is refused, naming the first dart, row-major, of the
-    # source whose image is not an edge of the target.
-    rng = np.random.default_rng(33)
-    refused = 0
-    for source, aut, target in itertools.islice(partner_pairs(300), 0, None, 4):
-        iso = cover_isomorphism(aut, source, target)
-        permgrp._check_automorphisms(source.dart_ends, target.dart_ends, [iso])
-        bad = iso.copy()
-        i, j = rng.choice(len(bad), 2, replace=False)
-        bad[[i, j]] = bad[[j, i]]
-        edges = set(target.edges())
-        darts = [(u, int(v)) for u, row in enumerate(source.dart_ends) for v in row]
-        u, v = next((u, v) for u, v in darts if tuple(sorted((bad[u], bad[v]))) not in edges)
-        with pytest.raises(permgrp.NotAnAutomorphism, match=rf"^edge \({u},{v}\) is not "):
-            permgrp._check_automorphisms(source.dart_ends, target.dart_ends, [bad])
-        refused += 1
-    assert refused == 53

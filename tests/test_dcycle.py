@@ -1,5 +1,6 @@
 """Tests for doubled-cycle automorphisms, their algebra and homology action."""
 
+import itertools
 import re
 
 import numpy as np
@@ -129,6 +130,21 @@ def test_dart_action_preserves_structure(g):
             # ... and the image of the inverse dart is the inverse image.
             end = (v + 1) % n if t < 2 else (v - 1) % n
             assert g.dart_image(4 * end + (t ^ 2)) == 4 * g.vertex_image(end) + (t2 ^ 2)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_every_automorphism_sends_the_darts_at_a_vertex_onto_those_at_its_image(n):
+    # The premise of cover._propagate's bijection proof: the tracks of every
+    # automorphism's image darts at each base vertex are a permutation of 0..3.
+    count = 0
+    for swaps, reflect, shift in itertools.product(range(1 << n), (0, 1), range(n)):
+        g = DCAut(n, swaps, reflect, shift)
+        images = np.array(g.arc_perm()).reshape(n, 4)
+        heads = [g.vertex_image(v) for v in range(n)]
+        assert (images // 4 == np.array(heads)[:, None]).all()
+        assert (np.sort(images % 4, axis=1) == np.arange(4)).all()
+        count += 1
+    assert count == 2 * n * 2**n
 
 
 # -- normal-form algebra ---------------------------------------------------

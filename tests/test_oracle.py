@@ -341,7 +341,7 @@ def by_arc_table(table, g):
 
 
 def by_sorted_rows(table, g):
-    permgrp._check_automorphisms(table, table, [g])
+    permgrp._check_automorphisms(table, [g])
 
 
 @pytest.mark.parametrize("graphs", ["sweep covers", "padded gate graphs"])
